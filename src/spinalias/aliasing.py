@@ -109,43 +109,21 @@ def _d_at_nodes(grid: SamplingGrid, deg: int, order: int, s: int) -> np.ndarray:
     return vals
 
 
-def i_n(
-    grid: SamplingGrid,
-    ell: int,
-    m: int,
-    u: int,
-    v: int,
-    s: int,
-    *,
-    sin_factor: bool = True,
-) -> float:
-    """Colatitude cross sum sum_p w_p d^ell_{m,-s} d^u_{v,-s} sin(theta_p).
+def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
+    """Colatitude cross sum sum_p w_p d^ell_{m,-s}(theta_p) d^u_{v,-s}(theta_p).
 
-    ``sin_factor=False`` drops the sin(theta_p) measure factor from each
-    summand; the reference values of the bundled worked-example table
-    were generated under that convention, while the default convention
-    is the one for which the exactness guarantees hold.
+    ``w_p`` are the grid's measure weights, so the sum approximates the
+    integral of the product against sin(theta) d(theta).
     """
     if ell < max(abs(m), s):
         raise ValueError(f"need ell >= max(|m|, s): got ({ell}, {m}, {s})")
     if u < max(abs(v), s):
         raise ValueError(f"need u >= max(|v|, s): got ({u}, {v}, {s})")
     term = grid.theta_weights * _d_at_nodes(grid, ell, m, s) * _d_at_nodes(grid, u, v, s)
-    if sin_factor:
-        term = term * np.sin(grid.theta_nodes)
     return float(term.sum())
 
 
-def i_n_halfgrid(
-    grid: SamplingGrid,
-    ell: int,
-    m: int,
-    u: int,
-    v: int,
-    s: int,
-    *,
-    sin_factor: bool = True,
-) -> float:
+def i_n_halfgrid(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
     """Mirror-folded evaluation of :func:`i_n` for reflection-even integrands.
 
     Valid when the summand is invariant under theta -> pi - theta (for
@@ -155,8 +133,6 @@ def i_n_halfgrid(
     """
     theta = grid.theta_nodes
     term = grid.theta_weights * _d_at_nodes(grid, ell, m, s) * _d_at_nodes(grid, u, v, s)
-    if sin_factor:
-        term = term * np.sin(theta)
     lower = theta < math.pi / 2.0 - 1e-13
     middle = np.abs(theta - math.pi / 2.0) <= 1e-13
     return float(2.0 * term[lower].sum() + term[middle].sum())
@@ -166,14 +142,7 @@ def _kappa(z1: int, z2: int) -> float:
     return math.sqrt((2 * z1 + 1) * (2 * z2 + 1)) / 2.0
 
 
-def tau(
-    grid: SamplingGrid,
-    source: HarmonicIndex,
-    u: int,
-    v: int,
-    *,
-    sin_factor: bool = True,
-) -> float:
+def tau(grid: SamplingGrid, source: HarmonicIndex, u: int, v: int) -> float:
     """Aliasing matrix element tau_s(ell, m; u, v) on ``grid``.
 
     Under the trapezoidal longitude rule the phase factor is a Kronecker
@@ -182,7 +151,7 @@ def tau(
     """
     if (v - source.m) % (2 * grid.Q) != 0:
         return 0.0
-    val = i_n(grid, source.ell, source.m, u, v, source.s, sin_factor=sin_factor)
+    val = i_n(grid, source.ell, source.m, u, v, source.s)
     return _kappa(source.ell, u) * val
 
 
@@ -192,7 +161,6 @@ def enumerate_aliases(
     u_max: int | None = None,
     *,
     intensity_floor: float = INTENSITY_FLOOR,
-    sin_factor: bool = True,
 ) -> AliasMap:
     """All aliases of ``source`` with degree at most ``u_max``.
 
@@ -221,7 +189,7 @@ def enumerate_aliases(
             v = m + r * two_q
             if abs(v) > u:
                 continue
-            t_val = tau(grid, source, u, v, sin_factor=sin_factor)
+            t_val = tau(grid, source, u, v)
             if abs(t_val) <= intensity_floor:
                 continue
             klass = (
@@ -246,8 +214,8 @@ def enumerate_aliases(
 def aliased_coefficient(field: "FieldSamples", source: HarmonicIndex) -> complex:
     """Discrete coefficient sum over the sampled field.
 
-    sum_k w_k T(theta_k, phi_k) conj(Y_{ell,m;s}(theta_k, phi_k)) sin(theta_k)
-    with separable weights w_k = w_p^(theta) w_q^(phi).
+    sum_k w_k T(theta_k, phi_k) conj(Y_{ell,m;s}(theta_k, phi_k)) with
+    separable weights w_k = w_p^(theta) w_q^(phi), w_p the measure weights.
     """
     grid = field.grid
     if field.values.shape != (grid.n_theta, grid.n_phi):
@@ -258,7 +226,7 @@ def aliased_coefficient(field: "FieldSamples", source: HarmonicIndex) -> complex
     ell, m, s = source.ell, source.m, source.s
     norm = math.sqrt((2 * ell + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
     d_vals = _d_at_nodes(grid, ell, m, s)
-    row = grid.theta_weights * np.sin(grid.theta_nodes) * d_vals
+    row = grid.theta_weights * d_vals
     col = grid.phi_weights * np.exp(-1j * m * grid.phi_nodes)
     return complex(norm * (row @ field.values @ col))
 

@@ -10,6 +10,7 @@ round-trip to the exact library result.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import __version__
@@ -19,6 +20,7 @@ from .sampling import (
     SamplingScheme,
     build_grid_equiangular,
     build_grid_gauss,
+    table_weights,
 )
 from .serialize import SpectrumFileError, fmt, load_spectrum, render_csv, render_json
 from .special import HarmonicIndex
@@ -35,6 +37,11 @@ def _build_grid(scheme: str, N: int, s: int, Q: int):
     if scheme == SamplingScheme.EQUIANGULAR.value:
         return build_grid_equiangular(N, s, Q)
     return build_grid_gauss(N, s, Q)
+
+
+def _table_grid(grid):
+    """Copy of ``grid`` carrying the reference table's weight column."""
+    return dataclasses.replace(grid, theta_weights=table_weights(grid))
 
 
 def _emit(args, metadata: dict, tables: dict) -> None:
@@ -59,8 +66,8 @@ def _metadata(args, command: str, **params) -> dict:
 
 def _cmd_grid(args) -> int:
     if args.paper_example:
-        gj = build_grid_gauss(PAPER_N, PAPER_S, args.Q)
-        ea = build_grid_equiangular(PAPER_N, PAPER_S, args.Q)
+        gj = _table_grid(build_grid_gauss(PAPER_N, PAPER_S, args.Q))
+        ea = _table_grid(build_grid_equiangular(PAPER_N, PAPER_S, args.Q))
         rows = []
         for i in range(ea.n_theta):
             if i < gj.n_theta:
@@ -78,7 +85,7 @@ def _cmd_grid(args) -> int:
         meta = _metadata(args, "grid", N=PAPER_N, s=PAPER_S, Q=args.Q, paper_example=True)
         _emit(args, meta, tables)
         return 0
-    grid = _build_grid(args.scheme, args.N, args.s, args.Q)
+    grid = _table_grid(_build_grid(args.scheme, args.N, args.s, args.Q))
     rows = [("theta", i, grid.theta_nodes[i], grid.theta_weights[i])
             for i in range(grid.n_theta)]
     rows += [("phi", i, grid.phi_nodes[i], grid.phi_weights[i])
@@ -109,13 +116,14 @@ def _cmd_alias_map(args) -> int:
     if args.paper_example:
         gj = build_grid_gauss(PAPER_N, PAPER_S, args.Q)
         ea = build_grid_equiangular(PAPER_N, PAPER_S, args.Q)
+        gj_table, ea_table = _table_grid(gj), _table_grid(ea)
         tau_rows = []
         for j, r in PAPER_ROWS:
             u, v = PAPER_SOURCE.ell + j, PAPER_SOURCE.m + 2 * r * args.Q
             tau_rows.append((
                 j, r, u, v,
-                tau(gj, PAPER_SOURCE, u, v, sin_factor=False),
-                tau(ea, PAPER_SOURCE, u, v, sin_factor=False),
+                tau(gj_table, PAPER_SOURCE, u, v),
+                tau(ea_table, PAPER_SOURCE, u, v),
             ))
         loc_rows = []
         for name, grid in (("gauss", gj), ("equiangular", ea)):
@@ -146,8 +154,10 @@ def _cmd_alias_map(args) -> int:
 
 def _cmd_tau(args) -> int:
     grid = _build_grid(args.scheme, args.N, args.s, args.Q)
+    if args.table_convention:
+        grid = _table_grid(grid)
     source = HarmonicIndex(args.l, args.m, args.s)
-    value = tau(grid, source, args.u, args.v, sin_factor=not args.table_convention)
+    value = tau(grid, source, args.u, args.v)
     header = ["ell", "m", "s", "u", "v", "tau"]
     rows = [(args.l, args.m, args.s, args.u, args.v, value)]
     meta = _metadata(args, "tau", scheme=args.scheme, N=args.N, s=args.s, Q=args.Q,
@@ -260,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--table-convention", action="store_true",
-                   help="drop the sin(theta) measure factor (worked-example "
-                        "table convention)")
+                   help="weight the colatitude sum with the reference table's "
+                        "weight column (omega/sin(theta) for gauss; equiangular "
+                        "unchanged), as in the worked-example table")
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("spectrum-alias", help="predict the aliased power spectrum")

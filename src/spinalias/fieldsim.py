@@ -154,11 +154,10 @@ def analyze(fieldsamples: FieldSamples, s: int, L_max: int) -> SpinCoefficients:
     L = L_max
     phases = np.exp(-1j * np.outer(np.arange(-L, L + 1), grid.phi_nodes))
     f_rows = (phases * grid.phi_weights) @ fieldsamples.values.T
-    row_weight = grid.theta_weights * np.sin(grid.theta_nodes)
     for ell, m in out.indices():
         d_vals = _d_at_nodes(grid, ell, m, s)
         out.values[ell, m + L] = _norm_const(ell, s) * np.dot(
-            row_weight * d_vals, f_rows[m + L]
+            grid.theta_weights * d_vals, f_rows[m + L]
         )
     return out
 

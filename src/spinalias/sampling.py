@@ -34,11 +34,10 @@ class SamplingScheme(str, Enum):
 class SamplingGrid:
     """Colatitude and longitude nodes with weights.
 
-    ``theta_weights`` are the per-node colatitude weights as used in the
-    discrete coefficient sums (the Gauss scheme stores the quadrature
-    weight divided by sin(theta)); ``phi_weights`` are the uniform
-    trapezoidal weights pi/Q.  Arrays are read-only; grids are immutable
-    and safe to share across threads.
+    ``theta_weights`` are measure weights for both schemes:
+    sum_p w_p f(theta_p) approximates int_0^pi f(theta) sin(theta) d(theta).
+    ``phi_weights`` are the uniform trapezoidal weights pi/Q.  Arrays are
+    read-only; grids are immutable and safe to share across threads.
     """
 
     scheme: SamplingScheme
@@ -146,31 +145,22 @@ def gauss_weights_from_derivative(nodes, n: int, alpha: float = 0.0, beta: float
     return g / ((1.0 - nodes * nodes) * np.asarray(dp) ** 2)
 
 
-def build_grid_gauss(
-    N: int, s: int, Q: int, *, literal_jacobi_nodes: bool = False
-) -> SamplingGrid:
+def build_grid_gauss(N: int, s: int, Q: int) -> SamplingGrid:
     """Gauss colatitude grid for spin ``s`` with 2Q longitudes.
 
     Places n = N - s colatitude nodes at arccos of the n-point
-    Gauss-Legendre abscissas, with weights w_p = omega_p / sin(theta_p).
-    ``literal_jacobi_nodes`` switches to the N roots of the Jacobi
-    polynomial P_N^(s,s) with the matching Gauss-Jacobi weights; that
-    variant does not reproduce the reference node table and exists for
-    experimentation only.
+    Gauss-Legendre abscissas; the weights are the Gauss-Legendre weights
+    omega_p, exact for cosine polynomials up to degree 2n - 1.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got s={s}")
     if N <= s:
         raise ValueError(f"need N > s, got N={N}, s={s}")
-    if literal_jacobi_nodes:
-        t, omega = gauss_nodes(N, float(s), float(s))
-    else:
-        t, omega = gauss_nodes(N - s)
+    t, omega = gauss_nodes(N - s)
     # descending t gives increasing theta
     theta = np.arccos(t[::-1])
-    w_theta = omega[::-1] / np.sin(theta)
     phi, w_phi = _phi_rule(Q)
-    return SamplingGrid(SamplingScheme.GAUSS_JACOBI, N, s, Q, theta, w_theta, phi, w_phi)
+    return SamplingGrid(SamplingScheme.GAUSS_JACOBI, N, s, Q, theta, omega[::-1], phi, w_phi)
 
 
 def build_grid_equiangular(N: int, s: int, Q: int) -> SamplingGrid:
@@ -183,7 +173,8 @@ def build_grid_equiangular(N: int, s: int, Q: int) -> SamplingGrid:
 
     which reproduce integrals against sin(theta) d(theta) for cosine
     polynomials up to degree 2n'-1.  The pole node theta=0 carries
-    weight zero.
+    weight zero.  Fields band-limited at L0 round-trip exactly when
+    N - s > L0 and Q > L0.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got s={s}")
@@ -198,6 +189,17 @@ def build_grid_equiangular(N: int, s: int, Q: int) -> SamplingGrid:
     w_theta = (2.0 / nprime) * np.sin(theta) * sums
     phi, w_phi = _phi_rule(Q)
     return SamplingGrid(SamplingScheme.EQUIANGULAR, N, s, Q, theta, w_theta, phi, w_phi)
+
+
+def table_weights(grid: SamplingGrid) -> np.ndarray:
+    """Colatitude weight column as printed in the reference node table.
+
+    The table lists omega_p / sin(theta_p) for the Gauss scheme and the
+    measure weights themselves for the equiangular scheme.
+    """
+    if grid.scheme is SamplingScheme.GAUSS_JACOBI:
+        return grid.theta_weights / np.sin(grid.theta_nodes)
+    return grid.theta_weights
 
 
 def validate_symmetry(grid: SamplingGrid, tol: float = 1e-12) -> SymmetryReport:

@@ -71,10 +71,8 @@ class AngularPowerSpectrum:
 class XiFactors:
     """Squared-alias transfer factors at fixed (ell, m, ell').
 
-    ``xi`` sums kappa^2 I^2 over the nonzero longitude wraps only,
-    ``xi0`` includes the r = 0 cell, and ``xi0_m0`` (m = 0 only) is the
-    variant whose r = 0 term is kept only for even degree offsets, where
-    it can survive; for odd offsets that term is a structural zero.
+    ``xi`` sums kappa^2 I^2 over the nonzero longitude wraps only and
+    ``xi0`` includes the r = 0 cell.
     """
 
     ell: int
@@ -82,7 +80,6 @@ class XiFactors:
     ell_prime: int
     xi: float
     xi0: float
-    xi0_m0: float | None = None
 
 
 def _lattice_wraps(m: int, u: int, Q: int):
@@ -108,11 +105,7 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
             acc_nonzero += val
     xi = kappa2 * acc_nonzero
     xi0 = kappa2 * (acc_nonzero + acc_zero)
-    xi0_m0 = None
-    if m == 0:
-        zero_term = acc_zero if (ell_prime - ell) % 2 == 0 else 0.0
-        xi0_m0 = kappa2 * (acc_nonzero + zero_term)
-    return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0, xi0_m0=xi0_m0)
+    return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)
 
 
 def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u_max: int):
@@ -142,9 +135,7 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
                 c_u = spec.total_at(u)
                 if c_u == 0.0:
                     continue
-                factors = xi_factors(grid, ell, m, u, s)
-                weight = factors.xi0_m0 if m == 0 else factors.xi0
-                acc += weight * c_u
+                acc += xi_factors(grid, ell, m, u, s).xi0 * c_u
         out.append(acc / (2 * ell + 1))
     return out
 

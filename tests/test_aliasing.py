@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from spinalias import (
     tau,
     wigner_d,
 )
+from spinalias.sampling import table_weights
 
 from _invariants import (
     discrete_orthonormality_deviation,
@@ -41,6 +43,11 @@ def gj_grid():
 @pytest.fixture(scope="module")
 def ea_grid():
     return build_grid_equiangular(6, 2, 1)
+
+
+def with_table_weights(grid):
+    """The grid re-weighted with the reference table's weight column."""
+    return dataclasses.replace(grid, theta_weights=table_weights(grid))
 
 
 class TestHQ:
@@ -81,7 +88,7 @@ class TestIN:
 
     def test_table_convention_value(self, gj_grid):
         # reference table value 0.7640 / kappa = 0.30560 (rounded print)
-        val = i_n(gj_grid, 2, 0, 2, 2, 2, sin_factor=False)
+        val = i_n(with_table_weights(gj_grid), 2, 0, 2, 2, 2)
         assert abs(val - 0.30560) < 0.008
 
     def test_parity_annihilation_both_grids(self):
@@ -103,10 +110,8 @@ class TestHalfGrid:
         for ell, m in [(2, 0), (3, 1), (4, -2)]:
             d1 = np.asarray(wigner_d(ell, m, 2, theta))
             d2 = np.asarray(wigner_d(ell, -m, 2, theta))
-            full = float((w * d1 * d2 * np.sin(theta)).sum())
-            folded = 2.0 * float(
-                (w[half] * d1[half] * d2[half] * np.sin(theta[half])).sum()
-            )
+            full = float((w * d1 * d2).sum())
+            folded = 2.0 * float((w[half] * d1[half] * d2[half]).sum())
             assert_allclose(folded, full, atol=1e-12)
 
     @pytest.mark.parametrize("scheme", ["gauss", "equiangular"])
@@ -121,11 +126,11 @@ class TestHalfGrid:
 
 class TestTau:
     def test_reference_table_gauss(self, gj_grid):
-        val = tau(gj_grid, HarmonicIndex(2, 0, 2), 2, 2, sin_factor=False)
+        val = tau(with_table_weights(gj_grid), HarmonicIndex(2, 0, 2), 2, 2)
         assert abs(val - 0.7640) < 0.02
 
     def test_reference_table_equiangular(self, ea_grid):
-        val = tau(ea_grid, HarmonicIndex(2, 0, 2), 4, 4, sin_factor=False)
+        val = tau(with_table_weights(ea_grid), HarmonicIndex(2, 0, 2), 4, 4)
         assert abs(val - 0.8263) < 0.02
 
     def test_off_lattice_exact_zero(self, gj_grid, ea_grid):
@@ -153,10 +158,15 @@ class TestTau:
 
 
 class TestEnumerate:
-    def test_q1_secondary_presence(self, gj_grid):
-        amap = enumerate_aliases(HarmonicIndex(2, 0, 2), gj_grid, u_max=5)
-        secondary = {(e.j, e.r) for e in amap.entries if e.klass is AliasClass.SECONDARY}
-        assert {(2, 1), (2, -1), (3, 1), (3, -1)} <= secondary
+    def test_q1_secondary_presence(self, gj_grid, ea_grid):
+        # both schemes alias the worked-example source onto the same 12
+        # secondary cells: (j, +-1) for j = 0..3 and (j, +-2) for j = 2, 3
+        cells = {(j, r) for j in range(4) for r in (1, -1)}
+        cells |= {(j, r) for j in (2, 3) for r in (2, -2)}
+        for grid in (gj_grid, ea_grid):
+            amap = enumerate_aliases(HarmonicIndex(2, 0, 2), grid, u_max=5)
+            secondary = {(e.j, e.r) for e in amap.entries if e.klass is AliasClass.SECONDARY}
+            assert secondary == {(e.j, e.r) for e in amap.entries} == cells, grid.scheme
 
     def test_q_large_removes_secondaries(self):
         grid = build_grid_gauss(6, 2, 5)  # Q = N - s + 1

@@ -14,6 +14,7 @@ from spinalias import (
     verify_bandlimit,
 )
 from spinalias.cli import main
+from spinalias.sampling import table_weights
 
 
 def run_cli(*args):
@@ -45,7 +46,7 @@ class TestGridCommand:
         assert len(theta_rows) == 4
         for i, row in enumerate(theta_rows):
             assert float(row[2]) == grid.theta_nodes[i]
-            assert float(row[3]) == grid.theta_weights[i]
+            assert float(row[3]) == table_weights(grid)[i]
 
     def test_equiangular_rows(self):
         code, out, _ = run_cli("grid", "--scheme", "equiangular", "--N", "6", "--s", "2")

@@ -10,6 +10,7 @@ from spinalias import (
     SpinCoefficients,
     aliased_coefficient,
     analyze,
+    build_grid_equiangular,
     build_grid_gauss,
     monte_carlo_spectrum,
     sample_gaussian_coeffs,
@@ -24,9 +25,9 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def exact_grid():
-    # alias-free for fields band-limited at 4 with spin 2
-    return build_grid_gauss(8, 2, 8)
+def exact_grids():
+    # alias-free for fields band-limited at 4 with spin 2, one per scheme
+    return build_grid_gauss(8, 2, 8), build_grid_equiangular(8, 2, 8)
 
 
 class TestSpinCoefficients:
@@ -136,19 +137,21 @@ class TestAnalyze:
                 atol=1e-13,
             )
 
-    def test_roundtrip_exact(self, exact_grid):
+    def test_roundtrip_exact(self, exact_grids):
         spec = AngularPowerSpectrum.flat(2, 4)
         coeffs = sample_gaussian_coeffs(spec, 4, seed=21)
-        tilde = analyze(synthesize(coeffs, exact_grid), 2, 4)
-        assert np.abs(tilde.values - coeffs.values).max() < 1e-10
+        for grid in exact_grids:
+            tilde = analyze(synthesize(coeffs, grid), 2, 4)
+            assert np.abs(tilde.values - coeffs.values).max() < 1e-10, grid.scheme
 
-    def test_energy_conservation(self, exact_grid):
+    def test_energy_conservation(self, exact_grids):
         spec = AngularPowerSpectrum.flat(2, 4)
         coeffs = sample_gaussian_coeffs(spec, 4, seed=33)
-        tilde = analyze(synthesize(coeffs, exact_grid), 2, 4)
         in_energy = float((np.abs(coeffs.values) ** 2).sum())
-        out_energy = float((np.abs(tilde.values) ** 2).sum())
-        assert abs(in_energy - out_energy) < 1e-10
+        for grid in exact_grids:
+            tilde = analyze(synthesize(coeffs, grid), 2, 4)
+            out_energy = float((np.abs(tilde.values) ** 2).sum())
+            assert abs(in_energy - out_energy) < 1e-10, grid.scheme
 
 
 class TestMonteCarlo:
@@ -159,11 +162,12 @@ class TestMonteCarlo:
         assert report.predicted == [0.0, 0.0, 0.0]
         assert report.z_scores == [0.0, 0.0, 0.0]
 
-    def test_alias_free_configuration(self, exact_grid):
+    def test_alias_free_configuration(self, exact_grids):
         spec = AngularPowerSpectrum.flat(2, 4)
-        report = monte_carlo_spectrum(spec, exact_grid, 4, [2, 3, 4], 150, seed=2)
-        assert_allclose(report.predicted, [1.0, 1.0, 1.0], rtol=1e-10)
-        assert max(abs(z) for z in report.z_scores) < 4.0
+        for grid in exact_grids:
+            report = monte_carlo_spectrum(spec, grid, 4, [2, 3, 4], 150, seed=2)
+            assert_allclose(report.predicted, [1.0, 1.0, 1.0], rtol=1e-10)
+            assert max(abs(z) for z in report.z_scores) < 4.0, grid.scheme
 
     def test_determinism(self, grid):
         spec = AngularPowerSpectrum.flat(2, 4)

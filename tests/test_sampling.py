@@ -13,7 +13,7 @@ from spinalias import (
     gauss_weights_from_derivative,
     validate_symmetry,
 )
-from spinalias.sampling import SamplingGrid
+from spinalias.sampling import SamplingGrid, table_weights
 
 # reference node table for (N=6, s=2), three printed decimals
 TABLE_GJ_NODES = [0.533, 1.224, 1.918, 2.601]
@@ -83,7 +83,7 @@ class TestGaussGrid:
         assert grid.scheme is SamplingScheme.GAUSS_JACOBI
         assert grid.n_theta == 4
         assert_allclose(grid.theta_nodes, TABLE_GJ_NODES, atol=0.01)
-        assert_allclose(grid.theta_weights, TABLE_GJ_WEIGHTS, atol=0.001)
+        assert_allclose(table_weights(grid), TABLE_GJ_WEIGHTS, atol=0.001)
 
     def test_node_symmetry(self):
         grid = build_grid_gauss(6, 2, 1)
@@ -94,27 +94,13 @@ class TestGaussGrid:
         grid = build_grid_gauss(3, 0, 1)
         expected_nodes = np.arccos([math.sqrt(0.6), 0.0, -math.sqrt(0.6)])
         assert_allclose(grid.theta_nodes, expected_nodes, atol=1e-14)
-        expected_w = np.array([5 / 9, 8 / 9, 5 / 9]) / np.sin(expected_nodes)
-        assert_allclose(grid.theta_weights, expected_w, rtol=1e-13)
+        assert_allclose(grid.theta_weights, [5 / 9, 8 / 9, 5 / 9], rtol=1e-13)
 
     def test_phi_rule(self):
         grid = build_grid_gauss(6, 2, 3)
         assert grid.n_phi == 6
         assert_allclose(grid.phi_nodes, np.arange(6) * math.pi / 3, atol=1e-15)
         assert_allclose(grid.phi_weights, math.pi / 3, rtol=1e-15)
-
-    @pytest.mark.parametrize("N,s", [(6, 2), (8, 3), (5, 0)])
-    def test_quadrature_exactness(self, N, s):
-        # sum w g(theta) sin(theta) integrates cos-polynomials of degree
-        # up to 2(N-s)-1 against sin(theta) d(theta)
-        grid = build_grid_gauss(N, s, 1)
-        n = N - s
-        t = np.cos(grid.theta_nodes)
-        eff = grid.theta_weights * np.sin(grid.theta_nodes)
-        for k in range(2 * n):
-            approx = float(eff @ t**k)
-            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(approx - exact) < 1e-12
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -123,12 +109,6 @@ class TestGaussGrid:
             build_grid_gauss(6, 2, 0)
         with pytest.raises(ValueError):
             build_grid_gauss(6, -1, 1)
-
-    def test_literal_jacobi_variant(self):
-        grid = build_grid_gauss(6, 2, 1, literal_jacobi_nodes=True)
-        assert grid.n_theta == 6
-        # the literal variant does not reproduce the reference table
-        assert not np.allclose(grid.theta_nodes[:4], TABLE_GJ_NODES, atol=0.05)
 
 
 class TestEquiangularGrid:
@@ -148,22 +128,29 @@ class TestEquiangularGrid:
         expected = 0.5 * (1 - 1 / 3 + 1 / 5 - 1 / 7)
         assert_allclose(grid.theta_weights[4], expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("N,s", [(6, 2), (8, 0), (10, 4)])
-    def test_weight_validity(self, N, s):
-        # sum w g(theta) reproduces int g(theta) sin(theta) d(theta)
-        # for cos-polynomials of degree <= N' - 1
-        grid = build_grid_equiangular(N, s, 1)
-        t = np.cos(grid.theta_nodes)
-        for k in range(N - s):
-            approx = float(grid.theta_weights @ t**k)
-            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(approx - exact) < 1e-10
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             build_grid_equiangular(7, 2, 1)
         with pytest.raises(ValueError):
             build_grid_equiangular(2, 2, 1)
+
+
+class TestMeasureWeights:
+    @pytest.mark.parametrize("scheme,N,s", [
+        ("gauss", 3, 2), ("gauss", 6, 2), ("gauss", 8, 3), ("gauss", 5, 0),
+        ("equiangular", 2, 0), ("equiangular", 6, 2), ("equiangular", 8, 0),
+        ("equiangular", 10, 4),
+    ])
+    def test_quadrature_exactness(self, scheme, N, s):
+        # sum w g(theta) reproduces int g(theta) sin(theta) d(theta) for
+        # cos-polynomials of degree up to 2(N-s)-1, and not beyond
+        build = build_grid_gauss if scheme == "gauss" else build_grid_equiangular
+        grid = build(N, s, 1)
+        t = np.cos(grid.theta_nodes)
+        for k in range(2 * (N - s) + 1):
+            approx = float(grid.theta_weights @ t**k)
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert (abs(approx - exact) < 1e-12) == (k < 2 * (N - s))
 
 
 class TestLongitudeExactness:

@@ -10,6 +10,7 @@ from spinalias import (
     SamplingGrid,
     SamplingScheme,
     aliased_spectrum,
+    build_grid_equiangular,
     build_grid_gauss,
     circular_covariance,
     enumerate_aliases,
@@ -61,10 +62,6 @@ class TestXiFactors:
             for m in (-2, 0, 1):
                 f = xi_factors(grid, 2, m, ell_prime, 2)
                 assert f.xi >= 0 and f.xi0 >= 0
-                if m == 0:
-                    assert f.xi0_m0 is not None and f.xi0_m0 >= 0
-                else:
-                    assert f.xi0_m0 is None
 
     def test_consistency_with_enumeration(self, grid):
         # xi0 equals the tau^2 mass of the enumerated cells at each degree,
@@ -86,9 +83,12 @@ class TestXiFactors:
         assert f.xi0 - f.xi == pytest.approx(1.0, rel=1e-12)
 
     def test_m0_structural_zero(self, grid):
-        # odd degree offsets keep no r=0 mass in the m=0 variant
-        f = xi_factors(grid, 2, 0, 7, 2)
-        assert f.xi0_m0 == f.xi
+        # at m = 0 the r = 0 cell of an odd degree offset is a parity zero
+        # on a mirror-symmetric grid, so xi0 carries no extra mass there
+        for g in (grid, build_grid_equiangular(6, 2, 1)):
+            for ell, ell_prime in [(2, 3), (2, 7), (3, 8), (4, 11)]:
+                f = xi_factors(g, ell, 0, ell_prime, 2)
+                assert abs(f.xi0 - f.xi) <= 1e-28, g.scheme
 
     def test_empty_grid_gives_zero(self):
         empty = SamplingGrid(
@@ -97,7 +97,7 @@ class TestXiFactors:
             np.array([math.pi, math.pi]),
         )
         f = xi_factors(empty, 2, 0, 4, 2)
-        assert f.xi == 0.0 and f.xi0 == 0.0 and f.xi0_m0 == 0.0
+        assert f.xi == 0.0 and f.xi0 == 0.0
 
 
 class TestAliasedSpectrum:
@@ -109,13 +109,13 @@ class TestAliasedSpectrum:
 
     def test_bandlimited_fixed_point(self):
         # N - s and Q both exceed the band limit: prediction returns the input
-        grid = build_grid_gauss(8, 2, 5)
         spec = AngularPowerSpectrum(
             2, 3, np.array([0.7, 1.3]), np.array([0.3, 0.2])
         )
-        with pytest.warns(UserWarning):
-            out = aliased_spectrum(grid, spec, [2, 3], u_max=3)
-        assert_allclose(out, spec.C_total, rtol=1e-10)
+        for grid in (build_grid_gauss(8, 2, 5), build_grid_equiangular(8, 2, 5)):
+            with pytest.warns(UserWarning):
+                out = aliased_spectrum(grid, spec, [2, 3], u_max=3)
+            assert_allclose(out, spec.C_total, rtol=1e-10, err_msg=grid.scheme.value)
 
     def test_truncation_warning(self, grid):
         spec = AngularPowerSpectrum.flat(2, 8)
