@@ -13,9 +13,7 @@ from .aliasing import (
     distance_bound_report,
     enumerate_aliases,
     h_q,
-    h_q_direct,
     i_n,
-    i_n_halfgrid,
     tau,
 )
 from .fieldsim import (
@@ -34,14 +32,12 @@ from .sampling import (
     build_grid_equiangular,
     build_grid_gauss,
     gauss_nodes,
-    gauss_weights_from_derivative,
     validate_symmetry,
 )
 from .special import (
     HarmonicIndex,
     h_factor,
     jacobi,
-    jacobi_deriv,
     jacobi_norm,
     spin_sph_harm,
     wigner_d,
@@ -81,14 +77,10 @@ __all__ = [
     "distance_bound_report",
     "enumerate_aliases",
     "gauss_nodes",
-    "gauss_weights_from_derivative",
     "h_factor",
     "h_q",
-    "h_q_direct",
     "i_n",
-    "i_n_halfgrid",
     "jacobi",
-    "jacobi_deriv",
     "jacobi_norm",
     "monte_carlo_spectrum",
     "sample_gaussian_coeffs",

@@ -14,7 +14,6 @@ sum to sampled fields.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,9 +34,7 @@ __all__ = [
     "DistanceReport",
     "INTENSITY_FLOOR",
     "h_q",
-    "h_q_direct",
     "i_n",
-    "i_n_halfgrid",
     "tau",
     "enumerate_aliases",
     "aliased_coefficient",
@@ -93,20 +90,30 @@ def h_q(m: int, v: int, Q: int) -> complex:
     return complex(2.0 * math.pi) if (v - m) % (2 * Q) == 0 else 0.0j
 
 
-def h_q_direct(m: int, v: int, Q: int) -> complex:
-    """Longitude phase sum evaluated term by term (cross-check route)."""
-    if Q < 1:
-        raise ValueError(f"need Q >= 1, got Q={Q}")
-    q = np.arange(2 * Q)
-    return complex((math.pi / Q) * np.exp(1j * (v - m) * q * math.pi / Q).sum())
-
-
-@functools.lru_cache(maxsize=None)
 def _d_at_nodes(grid: SamplingGrid, deg: int, order: int, s: int) -> np.ndarray:
-    """d^deg_{order,-s} over the grid's colatitude nodes (cached per grid)."""
-    vals = np.asarray(wigner_d(deg, order, s, grid.theta_nodes))
-    vals.setflags(write=False)
+    """d^deg_{order,-s} over the grid's colatitude nodes (cached on the grid)."""
+    vals = grid._d_tables.get((deg, order, s))
+    if vals is None:
+        vals = np.asarray(wigner_d(deg, order, s, grid.theta_nodes))
+        vals.setflags(write=False)
+        grid._d_tables[(deg, order, s)] = vals
     return vals
+
+
+def _cross_sums(grid: SamplingGrid, s: int, m: int, ells, v: int, us) -> np.ndarray:
+    """The cross sums I of :func:`i_n` for rows ell in ``ells``, columns u in ``us``."""
+
+    def table(degs, order):
+        rows = [_d_at_nodes(grid, deg, order, s) for deg in degs]
+        return np.array(rows).reshape(len(rows), grid.n_theta)
+
+    return (table(ells, m) * grid.theta_weights) @ table(us, v).T
+
+
+def _wraps(m: int, u_max: int, Q: int) -> list:
+    """Longitude wraps (r, v = m + 2rQ) of order m with |v| <= u_max."""
+    two_q = 2 * Q
+    return [(r, m + r * two_q) for r in range(-((u_max + m) // two_q), (u_max - m) // two_q + 1)]
 
 
 def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
@@ -119,27 +126,11 @@ def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
         raise ValueError(f"need ell >= max(|m|, s): got ({ell}, {m}, {s})")
     if u < max(abs(v), s):
         raise ValueError(f"need u >= max(|v|, s): got ({u}, {v}, {s})")
-    term = grid.theta_weights * _d_at_nodes(grid, ell, m, s) * _d_at_nodes(grid, u, v, s)
-    return float(term.sum())
+    return float(_cross_sums(grid, s, m, [ell], v, [u])[0, 0])
 
 
-def i_n_halfgrid(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
-    """Mirror-folded evaluation of :func:`i_n` for reflection-even integrands.
-
-    Valid when the summand is invariant under theta -> pi - theta (for
-    example v = -m with u = ell): mirror pairs are counted once and
-    doubled, self-mirrored nodes (theta = pi/2, or zero-weight poles)
-    once.
-    """
-    theta = grid.theta_nodes
-    term = grid.theta_weights * _d_at_nodes(grid, ell, m, s) * _d_at_nodes(grid, u, v, s)
-    lower = theta < math.pi / 2.0 - 1e-13
-    middle = np.abs(theta - math.pi / 2.0) <= 1e-13
-    return float(2.0 * term[lower].sum() + term[middle].sum())
-
-
-def _kappa(z1: int, z2: int) -> float:
-    return math.sqrt((2 * z1 + 1) * (2 * z2 + 1)) / 2.0
+def _kappa(z1, z2):
+    return np.sqrt((2 * z1 + 1) * (2 * z2 + 1)) / 2.0
 
 
 def tau(grid: SamplingGrid, source: HarmonicIndex, u: int, v: int) -> float:
@@ -151,8 +142,7 @@ def tau(grid: SamplingGrid, source: HarmonicIndex, u: int, v: int) -> float:
     """
     if (v - source.m) % (2 * grid.Q) != 0:
         return 0.0
-    val = i_n(grid, source.ell, source.m, u, v, source.s)
-    return _kappa(source.ell, u) * val
+    return float(_kappa(source.ell, u) * i_n(grid, source.ell, source.m, u, v, source.s))
 
 
 def enumerate_aliases(
@@ -177,20 +167,13 @@ def enumerate_aliases(
     if u_max < source.ell:
         raise ValueError(f"need u_max >= ell, got u_max={u_max}, ell={source.ell}")
     ell, m, s = source.ell, source.m, source.s
-    two_q = 2 * grid.Q
     entries = []
-    for u in range(max(s, 0), u_max + 1):
-        j = u - ell
-        r_lo = math.ceil((-u - m) / two_q)
-        r_hi = math.floor((u - m) / two_q)
-        for r in range(r_lo, r_hi + 1):
-            if j == 0 and r == 0:
-                continue
-            v = m + r * two_q
-            if abs(v) > u:
-                continue
-            t_val = tau(grid, source, u, v)
-            if abs(t_val) <= intensity_floor:
+    for r, v in _wraps(m, u_max, grid.Q):
+        us = range(max(abs(v), s), u_max + 1)
+        taus = _kappa(ell, np.asarray(us)) * _cross_sums(grid, s, m, [ell], v, us)[0]
+        for u, t_val in zip(us, taus.tolist()):
+            j = u - ell
+            if (j == 0 and r == 0) or abs(t_val) <= intensity_floor:
                 continue
             klass = (
                 AliasClass.PRIMARY if j > grid.N - grid.s - 1 else AliasClass.SECONDARY
@@ -204,7 +187,7 @@ def enumerate_aliases(
                     klass=klass,
                     tau=t_val,
                     intensity=abs(t_val),
-                    distance=math.hypot(j, r * two_q),
+                    distance=math.hypot(j, v - m),
                 )
             )
     entries.sort(key=lambda e: (e.distance, e.j, e.r))

@@ -175,11 +175,7 @@ def _cmd_spectrum_alias(args) -> int:
     l_max = args.lmax if args.lmax is not None else spec.L_max
     u_max = args.umax if args.umax is not None else spec.L_max
     ells = list(range(args.s, l_max + 1))
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        predicted = aliased_spectrum(grid, spec, ells, u_max=u_max)
+    predicted = aliased_spectrum(grid, spec, ells, u_max=u_max)
     rows = []
     for ell, c_tilde in zip(ells, predicted):
         c_in = spec.total_at(ell)

@@ -5,20 +5,18 @@ equiangular scheme, both paired with a 2Q-point trapezoidal longitude rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .special import jacobi_deriv, jacobi_norm
+from .special import jacobi_norm
 
 __all__ = [
     "SamplingScheme",
     "SamplingGrid",
     "SymmetryReport",
     "gauss_nodes",
-    "gauss_weights_from_derivative",
     "build_grid_gauss",
     "build_grid_equiangular",
     "validate_symmetry",
@@ -37,7 +35,10 @@ class SamplingGrid:
     ``theta_weights`` are measure weights for both schemes:
     sum_p w_p f(theta_p) approximates int_0^pi f(theta) sin(theta) d(theta).
     ``phi_weights`` are the uniform trapezoidal weights pi/Q.  Arrays are
-    read-only; grids are immutable and safe to share across threads.
+    read-only.  The grid also owns the Wigner-d tables evaluated on its
+    nodes, filled on first use and freed with the grid; grids are safe to
+    share across threads (two threads may both build a missing table, and
+    each reads a complete one).
     """
 
     scheme: SamplingScheme
@@ -48,6 +49,7 @@ class SamplingGrid:
     theta_weights: np.ndarray
     phi_nodes: np.ndarray
     phi_weights: np.ndarray
+    _d_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         for name in ("theta_nodes", "theta_weights", "phi_nodes", "phi_weights"):
@@ -88,7 +90,8 @@ def gauss_nodes(n: int, alpha: float = 0.0, beta: float = 0.0):
 
     The rule integrates (1-t)^alpha (1+t)^beta q(t) exactly for
     polynomials q of degree <= 2n-1.  Built by the Golub-Welsch
-    eigenvalue method from the three-term recurrence coefficients.
+    eigenvalue method from the three-term recurrence coefficients, with
+    numpy's dense symmetric eigensolver.
 
     Returns
     -------
@@ -115,34 +118,11 @@ def gauss_nodes(n: int, alpha: float = 0.0, beta: float = 0.0):
         )
     else:
         off = np.empty(0)
-    nodes, vecs = eigh_tridiagonal(diag, off)
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # total mass of the weight function: 2^(ab+1) B(alpha+1, beta+1)
     mu0 = jacobi_norm(0, alpha, beta)
-    weights = mu0 * vecs[0, :] ** 2
-    order = np.argsort(nodes)
-    return nodes[order], weights[order]
-
-
-def gauss_weights_from_derivative(nodes, n: int, alpha: float = 0.0, beta: float = 0.0):
-    """Gauss-Jacobi weights from the classical derivative formula.
-
-    w_k = G / ((1 - t_k^2) * P'_n(t_k)^2) with
-    G = 2^(alpha+beta+1) Gamma(n+alpha+1) Gamma(n+beta+1) /
-        (n! Gamma(n+alpha+beta+1)).
-
-    Independent companion to :func:`gauss_nodes`; the two weight routes
-    agree to 1e-12.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    g = math.exp(
-        (alpha + beta + 1.0) * math.log(2.0)
-        + math.lgamma(n + alpha + 1.0)
-        + math.lgamma(n + beta + 1.0)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(n + alpha + beta + 1.0)
-    )
-    dp = jacobi_deriv(n, alpha, beta, nodes)
-    return g / ((1.0 - nodes * nodes) * np.asarray(dp) ** 2)
+    # eigh returns the eigenvalues, here the nodes, in increasing order
+    return nodes, mu0 * vecs[0, :] ** 2
 
 
 def build_grid_gauss(N: int, s: int, Q: int) -> SamplingGrid:

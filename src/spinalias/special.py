@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "HarmonicIndex",
     "jacobi",
-    "jacobi_deriv",
     "jacobi_norm",
     "h_factor",
     "wigner_d",
@@ -69,15 +68,6 @@ def jacobi(nu: int, alpha: float, beta: float, t):
         c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
         p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
     return p_cur if p_cur.ndim else float(p_cur)
-
-
-def jacobi_deriv(nu: int, alpha: float, beta: float, t):
-    """First derivative of P_nu^(alpha, beta) at t."""
-    if nu == 0:
-        t = np.asarray(t, dtype=float)
-        z = np.zeros_like(t)
-        return z if z.ndim else 0.0
-    return 0.5 * (nu + alpha + beta + 1.0) * jacobi(nu - 1, alpha + 1.0, beta + 1.0, t)
 
 
 def jacobi_norm(nu: int, alpha: float, beta: float) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import i_n
+from .aliasing import _cross_sums, _wraps
 from .sampling import SamplingGrid, build_grid_gauss
 
 __all__ = [
@@ -43,6 +43,8 @@ class AngularPowerSpectrum:
         cb = np.asarray(self.C_B, dtype=float)
         if ce.shape != (n,) or cb.shape != (n,):
             raise ValueError(f"spectra must have length {n} (ell = s .. L_max)")
+        if not (np.all(np.isfinite(ce)) and np.all(np.isfinite(cb))):
+            raise ValueError("spectrum entries must be finite")
         if np.any(ce < 0) or np.any(cb < 0):
             raise ValueError("spectrum entries must be non-negative")
         ce.setflags(write=False)
@@ -82,29 +84,15 @@ class XiFactors:
     xi0: float
 
 
-def _lattice_wraps(m: int, u: int, Q: int):
-    two_q = 2 * Q
-    r_lo = math.ceil((-u - m) / two_q)
-    r_hi = math.floor((u - m) / two_q)
-    return [r for r in range(r_lo, r_hi + 1) if abs(m + r * two_q) <= u]
-
-
 def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> XiFactors:
     """Transfer factors kappa^2 * sum_r I^2(ell, m; ell', m + 2rQ)."""
     if ell < max(abs(m), s) or ell_prime < s:
         raise ValueError(f"invalid indices (ell={ell}, m={m}, ell'={ell_prime}, s={s})")
     kappa2 = (2 * ell + 1) * (2 * ell_prime + 1) / 4.0
-    acc_nonzero = 0.0
-    acc_zero = 0.0
-    for r in _lattice_wraps(m, ell_prime, grid.Q):
-        v = m + 2 * r * grid.Q
-        val = i_n(grid, ell, m, ell_prime, v, s) ** 2
-        if r == 0:
-            acc_zero += val
-        else:
-            acc_nonzero += val
-    xi = kappa2 * acc_nonzero
-    xi0 = kappa2 * (acc_nonzero + acc_zero)
+    squares = {r: _cross_sums(grid, s, m, [ell], v, [ell_prime])[0, 0] ** 2
+               for r, v in _wraps(m, ell_prime, grid.Q)}
+    xi = float(kappa2 * sum(sq for r, sq in squares.items() if r != 0))
+    xi0 = xi + float(kappa2 * squares.get(0, 0.0))
     return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)
 
 
@@ -121,23 +109,26 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
         raise ValueError(f"need u_max <= spectrum L_max, got {u_max} > {spec.L_max}")
     s = spec.s
     ell_list = list(ell_list)
-    out = []
     for ell in ell_list:
+        if ell < s:
+            raise ValueError(f"invalid indices (ell={ell}, s={s})")
         if u_max < ell + 2 * (grid.N - grid.s):
             warnings.warn(
                 f"u_max={u_max} may truncate aliases of ell={ell} "
                 f"(nearest wrap-around degrees extend past it)",
                 stacklevel=2,
             )
-        acc = 0.0
-        for m in range(-ell, ell + 1):
-            for u in range(s, u_max + 1):
-                c_u = spec.total_at(u)
-                if c_u == 0.0:
-                    continue
-                acc += xi_factors(grid, ell, m, u, s).xi0 * c_u
-        out.append(acc / (2 * ell + 1))
-    return out
+    # kappa^2 / (2 ell + 1) = (2u + 1) / 4 weights each squared cross sum
+    weight = np.array([(2 * u + 1) * spec.total_at(u) for u in range(s, u_max + 1)]) / 4.0
+    out = np.zeros(len(ell_list))
+    top = max(ell_list, default=-1)
+    for m in range(-top, top + 1):
+        rows = [k for k, ell in enumerate(ell_list) if ell >= abs(m)]
+        for _, v in _wraps(m, u_max, grid.Q):
+            lo = max(abs(v), s)
+            block = _cross_sums(grid, s, m, [ell_list[k] for k in rows], v, range(lo, u_max + 1))
+            out[rows] += block**2 @ weight[lo - s :]
+    return out.tolist()
 
 
 def circular_covariance(spec: AngularPowerSpectrum, theta_psi: float) -> float:

@@ -1,7 +1,11 @@
-"""Shared invariant sweeps, used by the unit tests and the acceptance gate.
+"""Shared invariant sweeps and oracles, used by the unit tests and the
+acceptance gate.
 
-Each function returns the worst deviation found over its sweep so the
-callers can assert against the stated tolerance.
+Each sweep returns the worst deviation found so the callers can assert
+against the stated tolerance.  The oracles are independent routes to
+library results (term-by-term phase sums, the derivative weight
+formula, mirror-folded and cell-by-cell colatitude sums) and share no
+code with the paths they check.
 """
 
 import math
@@ -9,14 +13,15 @@ import math
 import numpy as np
 
 from spinalias import (
+    AliasClass,
     HarmonicIndex,
     aliased_coefficient,
     build_grid_equiangular,
     build_grid_gauss,
     gauss_nodes,
     h_q,
-    h_q_direct,
     i_n,
+    jacobi,
     sample_gaussian_coeffs,
     spin_sph_harm,
     synthesize,
@@ -24,6 +29,114 @@ from spinalias import (
     wigner_d,
 )
 from spinalias.spectrum import AngularPowerSpectrum
+
+
+def h_q_direct(m: int, v: int, Q: int) -> complex:
+    """Longitude phase sum evaluated term by term."""
+    q = np.arange(2 * Q)
+    return complex((math.pi / Q) * np.exp(1j * (v - m) * q * math.pi / Q).sum())
+
+
+def jacobi_deriv(nu: int, alpha: float, beta: float, t):
+    """First derivative of P_nu^(alpha, beta) at t."""
+    if nu == 0:
+        t = np.asarray(t, dtype=float)
+        z = np.zeros_like(t)
+        return z if z.ndim else 0.0
+    return 0.5 * (nu + alpha + beta + 1.0) * jacobi(nu - 1, alpha + 1.0, beta + 1.0, t)
+
+
+def gauss_weights_from_derivative(nodes, n: int, alpha: float = 0.0, beta: float = 0.0):
+    """Gauss-Jacobi weights from the classical derivative formula.
+
+    w_k = G / ((1 - t_k^2) * P'_n(t_k)^2) with
+    G = 2^(alpha+beta+1) Gamma(n+alpha+1) Gamma(n+beta+1) /
+        (n! Gamma(n+alpha+beta+1)).
+
+    Independent of the Golub-Welsch eigenvectors behind ``gauss_nodes``.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    g = math.exp(
+        (alpha + beta + 1.0) * math.log(2.0)
+        + math.lgamma(n + alpha + 1.0)
+        + math.lgamma(n + beta + 1.0)
+        - math.lgamma(n + 1.0)
+        - math.lgamma(n + alpha + beta + 1.0)
+    )
+    dp = jacobi_deriv(n, alpha, beta, nodes)
+    return g / ((1.0 - nodes * nodes) * np.asarray(dp) ** 2)
+
+
+def i_n_halfgrid(grid, ell: int, m: int, u: int, v: int, s: int) -> float:
+    """Mirror-folded colatitude cross sum for reflection-even integrands.
+
+    Valid when the summand is invariant under theta -> pi - theta (for
+    example v = -m with u = ell): mirror pairs are counted once and
+    doubled, self-mirrored nodes (theta = pi/2, or zero-weight poles)
+    once.
+    """
+    theta = grid.theta_nodes
+    term = (grid.theta_weights * np.asarray(wigner_d(ell, m, s, theta))
+            * np.asarray(wigner_d(u, v, s, theta)))
+    lower = theta < math.pi / 2.0 - 1e-13
+    middle = np.abs(theta - math.pi / 2.0) <= 1e-13
+    return float(2.0 * term[lower].sum() + term[middle].sum())
+
+
+class CellOracle:
+    """Colatitude sums cell by cell on one grid, straight from ``wigner_d``.
+
+    Evaluates I(ell, m; u, v) = sum_p w_p d^ell_{m,-s} d^u_{v,-s} per
+    lattice cell with the grid's weights, and from it the alias cells,
+    the transfer factors and the aliased spectrum by the defining loops.
+    It goes through neither the library's d-table cache nor ``i_n`` or
+    ``tau``; only the Wigner-d values of one (degree, order) are memoized.
+    """
+
+    def __init__(self, grid, s: int):
+        self.grid, self.s = grid, s
+        self._d = {}
+
+    def d(self, deg: int, order: int) -> np.ndarray:
+        if (deg, order) not in self._d:
+            self._d[deg, order] = np.asarray(wigner_d(deg, order, self.s, self.grid.theta_nodes))
+        return self._d[deg, order]
+
+    def tau(self, ell: int, m: int, u: int, v: int) -> float:
+        cross = float((self.grid.theta_weights * self.d(ell, m) * self.d(u, v)).sum())
+        return math.sqrt((2 * ell + 1) * (2 * u + 1)) / 2.0 * cross
+
+    def wraps(self, m: int, u: int) -> list:
+        """Wraps r with v = m + 2rQ and |v| <= u."""
+        two_q = 2 * self.grid.Q
+        return [r for r in range(-u - abs(m), u + abs(m) + 1) if abs(m + r * two_q) <= u]
+
+    def aliases(self, ell: int, m: int, u_max: int, floor: float = 1e-12) -> dict:
+        """{(u, v, j, r): (class, tau)} over every lattice cell but the identity."""
+        n = self.grid.N - self.grid.s
+        out = {}
+        for u in range(self.s, u_max + 1):
+            for r in self.wraps(m, u):
+                v = m + 2 * r * self.grid.Q
+                value = self.tau(ell, m, u, v)
+                if (u, r) != (ell, 0) and abs(value) > floor:
+                    klass = AliasClass.PRIMARY if u - ell > n - 1 else AliasClass.SECONDARY
+                    out[u, v, u - ell, r] = (klass, value)
+        return out
+
+    def xi(self, ell: int, m: int, u: int) -> tuple:
+        """(xi, xi0): tau^2 summed over the wraps r != 0, and over all wraps."""
+        sq = {r: self.tau(ell, m, u, m + 2 * r * self.grid.Q) ** 2 for r in self.wraps(m, u)}
+        return sum(val for r, val in sq.items() if r != 0), sum(sq.values())
+
+    def spectrum(self, spec, ells, u_max: int) -> list:
+        """sum_m sum_u xi0(ell, m, u) C_u / (2 ell + 1) per ell."""
+        return [
+            sum(self.xi(ell, m, u)[1] * spec.total_at(u)
+                for m in range(-ell, ell + 1) for u in range(self.s, u_max + 1))
+            / (2 * ell + 1)
+            for ell in ells
+        ]
 
 
 def wigner_parity_deviation(l_max=20, thetas=(0.2, 0.9, 1.7, 2.5)) -> float:

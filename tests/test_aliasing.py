@@ -17,9 +17,7 @@ from spinalias import (
     distance_bound_report,
     enumerate_aliases,
     h_q,
-    h_q_direct,
     i_n,
-    i_n_halfgrid,
     synthesize,
     tau,
     wigner_d,
@@ -27,8 +25,10 @@ from spinalias import (
 from spinalias.sampling import table_weights
 
 from _invariants import (
+    CellOracle,
     discrete_orthonormality_deviation,
     h_q_kronecker_deviation,
+    i_n_halfgrid,
     parity_annihilation_deviation,
     spectral_vs_direct_deviation,
     tau_symmetry_deviation,
@@ -167,6 +167,19 @@ class TestEnumerate:
             amap = enumerate_aliases(HarmonicIndex(2, 0, 2), grid, u_max=5)
             secondary = {(e.j, e.r) for e in amap.entries if e.klass is AliasClass.SECONDARY}
             assert secondary == {(e.j, e.r) for e in amap.entries} == cells, grid.scheme
+
+    @pytest.mark.parametrize("build", [build_grid_gauss, build_grid_equiangular])
+    def test_matches_cell_oracle(self, build):
+        grid = build(8, 2, 2)
+        oracle = CellOracle(grid, 2)
+        for ell, m in [(2, 0), (3, -2), (5, 3)]:
+            amap = enumerate_aliases(HarmonicIndex(ell, m, 2), grid, u_max=40)
+            expected = oracle.aliases(ell, m, 40)
+            got = {(e.alias.ell, e.alias.m, e.j, e.r): (e.klass, e.tau) for e in amap.entries}
+            assert got.keys() == expected.keys()
+            for cell, (klass, value) in expected.items():
+                assert got[cell][0] is klass
+                assert abs(got[cell][1] - value) <= 1e-12
 
     def test_q_large_removes_secondaries(self):
         grid = build_grid_gauss(6, 2, 5)  # Q = N - s + 1

@@ -189,6 +189,37 @@ class TestSpectrumAliasCommand:
         for row, value in zip(rows, predicted):
             assert float(row[col]) == value
 
+    def test_truncation_warnings_on_stderr(self, tmp_path):
+        spec_file = tmp_path / "flat.csv"
+        self._write_spectrum(spec_file, 2, [(l, 0.5, 0.5) for l in range(2, 7)])
+        code, out, err = run_cli("spectrum-alias", "--spectrum", str(spec_file),
+                                 "--N", "6", "--s", "2", "--Q", "1", "--umax", "4")
+        assert code == 0
+        assert "truncate" in err
+        header, rows = parse_csv(out)
+        with pytest.warns(UserWarning, match="truncate"):
+            predicted = aliased_spectrum(build_grid_gauss(6, 2, 1),
+                                         AngularPowerSpectrum.flat(2, 6), range(2, 7), u_max=4)
+        col = header.index("C_tilde")
+        assert [float(row[col]) for row in rows] == predicted
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_non_finite_exit_3(self, tmp_path, suffix):
+        path = tmp_path / f"bad.{suffix}"
+        rows = [(2, 0.5, 0.5), (3, "nan", 0.5), (4, 0.5, "inf")]
+        if suffix == "csv":
+            self._write_spectrum(path, 2, rows)
+        else:
+            path.write_text(json.dumps({
+                "s": 2, "ell": [r[0] for r in rows],
+                "C_E": [float(r[1]) for r in rows], "C_B": [float(r[2]) for r in rows],
+            }))
+        code, out, err = run_cli("spectrum-alias", "--spectrum", str(path),
+                                 "--N", "6", "--s", "2", "--Q", "1")
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
+
     def test_malformed_file_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("ell,C_E,C_B\n2,0.5,0.5\n3,oops,0.5\n")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -152,6 +154,17 @@ class TestAnalyze:
             tilde = analyze(synthesize(coeffs, grid), 2, 4)
             out_energy = float((np.abs(tilde.values) ** 2).sum())
             assert abs(in_energy - out_energy) < 1e-10, grid.scheme
+
+    def test_tables_freed_with_grid(self):
+        # the Wigner-d tables belong to the grid, so dropping it frees them
+        grid = build_grid_gauss(10, 2, 6)
+        coeffs = sample_gaussian_coeffs(AngularPowerSpectrum.flat(2, 5), 5, seed=4)
+        field = synthesize(coeffs, grid)
+        analyze(field, 2, 5)
+        ref = weakref.ref(grid)
+        del grid, field
+        gc.collect()
+        assert ref() is None
 
 
 class TestMonteCarlo:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from spinalias import (
     build_grid_equiangular,
     build_grid_gauss,
     gauss_nodes,
-    gauss_weights_from_derivative,
     validate_symmetry,
 )
 from spinalias.sampling import SamplingGrid, table_weights
+
+from _invariants import gauss_weights_from_derivative
 
 # reference node table for (N=6, s=2), three printed decimals
 TABLE_GJ_NODES = [0.533, 1.224, 1.918, 2.601]
@@ -69,6 +72,17 @@ class TestGaussNodes:
         ref_nodes, ref_weights = roots_jacobi(n, alpha, beta)
         assert_allclose(nodes, ref_nodes, atol=1e-13)
         assert_allclose(weights, ref_weights, rtol=1e-12)
+
+    def test_library_does_not_import_scipy(self):
+        # scipy is a test oracle only; the library and its CLI run without it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spinalias, spinalias.cli; spinalias.build_grid_gauss(9, 2, 3); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

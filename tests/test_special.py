@@ -10,7 +10,6 @@ from spinalias import (
     HarmonicIndex,
     h_factor,
     jacobi,
-    jacobi_deriv,
     jacobi_norm,
     spin_sph_harm,
     wigner_d,
@@ -18,6 +17,7 @@ from spinalias import (
 
 from _invariants import (
     addition_theorem_deviation,
+    jacobi_deriv,
     orthonormality_deviation,
     wigner_parity_deviation,
 )

@@ -19,6 +19,10 @@ from spinalias import (
     xi_factors,
 )
 
+from _invariants import CellOracle
+
+SCHEMES = [build_grid_gauss, build_grid_equiangular]
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -40,6 +44,13 @@ class TestAngularPowerSpectrum:
             AngularPowerSpectrum(2, 4, np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             AngularPowerSpectrum(2, 3, np.array([1.0, -0.1]), np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AngularPowerSpectrum(2, 3, np.array([1.0, bad]), np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            AngularPowerSpectrum(2, 3, np.array([1.0, 0.0]), np.array([bad, 0.0]))
 
     def test_out_of_range(self):
         spec = AngularPowerSpectrum.flat(2, 4)
@@ -76,6 +87,17 @@ class TestXiFactors:
                 total += tau_fn(grid, source, source.ell, source.m) ** 2
             f = xi_factors(grid, source.ell, source.m, ell_prime, 2)
             assert abs(f.xi0 - total) < 1e-12
+
+    @pytest.mark.parametrize("build", SCHEMES)
+    def test_matches_cell_oracle(self, build):
+        # round-off zeros (parity-annihilated cells) are ~1e-30, hence the atol
+        grid = build(8, 2, 2)
+        oracle = CellOracle(grid, 2)
+        for ell, m in [(2, 0), (3, -2), (5, 3)]:
+            for ell_prime in range(2, 41):
+                f = xi_factors(grid, ell, m, ell_prime, 2)
+                xi, xi0 = oracle.xi(ell, m, ell_prime)
+                assert_allclose([f.xi, f.xi0], [xi, xi0], rtol=1e-12, atol=1e-24)
 
     def test_xi_excludes_central_wrap(self, grid):
         # at the source degree the r=0 cell is the identity: xi < xi0
@@ -116,6 +138,16 @@ class TestAliasedSpectrum:
             with pytest.warns(UserWarning):
                 out = aliased_spectrum(grid, spec, [2, 3], u_max=3)
             assert_allclose(out, spec.C_total, rtol=1e-10, err_msg=grid.scheme.value)
+
+    @pytest.mark.parametrize("build", SCHEMES)
+    def test_matches_cell_oracle(self, build):
+        grid = build(8, 2, 2)
+        rng = np.random.default_rng(11)
+        spec = AngularPowerSpectrum(2, 40, rng.uniform(0.1, 1.0, 39), rng.uniform(0.1, 1.0, 39))
+        ells = [2, 3, 5, 8]
+        expected = CellOracle(grid, 2).spectrum(spec, ells, 40)
+        out = aliased_spectrum(grid, spec, ells, u_max=40)
+        assert_allclose(out, expected, rtol=1e-12)
 
     def test_truncation_warning(self, grid):
         spec = AngularPowerSpectrum.flat(2, 8)
