@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .sampling import SamplingGrid
-from .special import HarmonicIndex, wigner_d
+from .special import HarmonicIndex, _wigner_d_blocks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fieldsim import FieldSamples, SpinCoefficients
@@ -90,24 +90,37 @@ def h_q(m: int, v: int, Q: int) -> complex:
     return complex(2.0 * math.pi) if (v - m) % (2 * Q) == 0 else 0.0j
 
 
-def _d_at_nodes(grid: SamplingGrid, deg: int, order: int, s: int) -> np.ndarray:
-    """d^deg_{order,-s} over the grid's colatitude nodes (cached on the grid)."""
-    vals = grid._d_tables.get((deg, order, s))
-    if vals is None:
-        vals = np.asarray(wigner_d(deg, order, s, grid.theta_nodes))
-        vals.setflags(write=False)
-        grid._d_tables[(deg, order, s)] = vals
-    return vals
+def _d_at_nodes(grid: SamplingGrid, s: int, orders, top: int) -> dict:
+    """Blocks of d^ell_{m,-s} over the grid's nodes, per order m in ``orders``.
+
+    Row i of block m holds ell = max(|m|, s) + i; each block reaches at
+    least ``top``.  Blocks are cached on the grid under (m, s); a request
+    beyond a cached block rebuilds that order to ``top``, in one
+    recursion pass over every such order.
+    """
+    tables = grid._d_tables
+    out = {}
+    for m in map(int, orders):
+        block = tables.get((m, s))  # one read: another thread may replace it
+        if block is not None and max(abs(m), s) + len(block) > top:
+            out[m] = block
+    stale = sorted({int(m) for m in orders} - out.keys())
+    if stale:
+        for m, block in zip(stale, _wigner_d_blocks(stale, s, top, grid.theta_nodes)):
+            tables[(m, s)] = out[m] = block
+    return out
+
+
+def _rows(block: np.ndarray, order: int, s: int, degs) -> np.ndarray:
+    """Rows of an order's block for the degrees ``degs``."""
+    return block[np.asarray(degs, dtype=int) - max(abs(order), s)]
 
 
 def _cross_sums(grid: SamplingGrid, s: int, m: int, ells, v: int, us) -> np.ndarray:
     """The cross sums I of :func:`i_n` for rows ell in ``ells``, columns u in ``us``."""
-
-    def table(degs, order):
-        rows = [_d_at_nodes(grid, deg, order, s) for deg in degs]
-        return np.array(rows).reshape(len(rows), grid.n_theta)
-
-    return (table(ells, m) * grid.theta_weights) @ table(us, v).T
+    d_m = _d_at_nodes(grid, s, [m], max(ells, default=0))[m]
+    d_v = _d_at_nodes(grid, s, [v], max(us, default=0))[v]
+    return (_rows(d_m, m, s, ells) * grid.theta_weights) @ _rows(d_v, v, s, us).T
 
 
 def _wraps(m: int, u_max: int, Q: int) -> list:
@@ -167,8 +180,10 @@ def enumerate_aliases(
     if u_max < source.ell:
         raise ValueError(f"need u_max >= ell, got u_max={u_max}, ell={source.ell}")
     ell, m, s = source.ell, source.m, source.s
+    wraps = _wraps(m, u_max, grid.Q)  # r = 0 gives the source order itself
+    _d_at_nodes(grid, s, [v for _, v in wraps], u_max)
     entries = []
-    for r, v in _wraps(m, u_max, grid.Q):
+    for r, v in wraps:
         us = range(max(abs(v), s), u_max + 1)
         taus = _kappa(ell, np.asarray(us)) * _cross_sums(grid, s, m, [ell], v, us)[0]
         for u, t_val in zip(us, taus.tolist()):
@@ -208,7 +223,7 @@ def aliased_coefficient(field: "FieldSamples", source: HarmonicIndex) -> complex
         )
     ell, m, s = source.ell, source.m, source.s
     norm = math.sqrt((2 * ell + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
-    d_vals = _d_at_nodes(grid, ell, m, s)
+    d_vals = _d_at_nodes(grid, s, [m], ell)[m][ell - max(abs(m), s)]
     row = grid.theta_weights * d_vals
     col = grid.phi_weights * np.exp(-1j * m * grid.phi_nodes)
     return complex(norm * (row @ field.values @ col))

@@ -120,6 +120,8 @@ def _cmd_alias_map(args) -> int:
         tau_rows = []
         for j, r in PAPER_ROWS:
             u, v = PAPER_SOURCE.ell + j, PAPER_SOURCE.m + 2 * r * args.Q
+            if u < abs(v):
+                continue  # no coefficient (u, v), so no tau
             tau_rows.append((
                 j, r, u, v,
                 tau(gj_table, PAPER_SOURCE, u, v),
@@ -194,7 +196,17 @@ def _cmd_verify_bandlimit(args) -> int:
              report.max_abs_error, report.tolerance, report.passed)]
     meta = _metadata(args, "verify-bandlimit", L0=args.L0, s=args.s, N=args.N, Q=args.Q)
     _emit(args, meta, {"report": (header, rows)})
-    return 0 if report.passed else 1
+    if report.passed:
+        return 0
+    violated = []
+    if not args.N - args.s > args.L0:
+        violated.append(f"N - s > L0 (N - s = {args.N - args.s}, L0 = {args.L0})")
+    if not args.Q > args.L0:
+        violated.append(f"Q > L0 (Q = {args.Q}, L0 = {args.L0})")
+    if violated:
+        print("verify-bandlimit: violated precondition: " + "; ".join(violated),
+              file=sys.stderr)
+    return 1
 
 
 def _cmd_simulate(args) -> int:

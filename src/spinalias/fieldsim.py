@@ -87,19 +87,23 @@ class FieldSamples:
             raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
 
 
-def _norm_const(ell: int, s: int) -> float:
-    return math.sqrt((2 * ell + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
+def _norm_consts(L: int, s: int) -> np.ndarray:
+    """sqrt((2 ell + 1) / (4 pi)) (-1)^s for ell = 0 .. L."""
+    return np.sqrt((2 * np.arange(L + 1) + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
 
 
 def _theta_profiles(coeffs: SpinCoefficients, grid: SamplingGrid) -> np.ndarray:
     """G[m+L, p] = sum_ell a_{ell,m} c_ell d^ell_{m,-s}(theta_p)."""
-    L = coeffs.L_max
+    L, s = coeffs.L_max, coeffs.s
     out = np.zeros((2 * L + 1, grid.n_theta), dtype=complex)
-    for ell, m in coeffs.indices():
-        a = coeffs.values[ell, m + L]
-        if a == 0:
-            continue
-        out[m + L] += a * _norm_const(ell, coeffs.s) * _d_at_nodes(grid, ell, m, coeffs.s)
+    norms = _norm_consts(L, s)
+    # only the orders that carry a coefficient get a table
+    orders = np.flatnonzero(coeffs.values.any(axis=0)) - L
+    for m, block in _d_at_nodes(grid, s, orders, L).items():
+        l0 = max(abs(m), s)
+        a = coeffs.values[l0:, m + L] * norms[l0:]
+        rows = block[: L + 1 - l0]
+        out[m + L] = a.real @ rows + 1j * (a.imag @ rows)
     return out
 
 
@@ -154,11 +158,11 @@ def analyze(fieldsamples: FieldSamples, s: int, L_max: int) -> SpinCoefficients:
     L = L_max
     phases = np.exp(-1j * np.outer(np.arange(-L, L + 1), grid.phi_nodes))
     f_rows = (phases * grid.phi_weights) @ fieldsamples.values.T
-    for ell, m in out.indices():
-        d_vals = _d_at_nodes(grid, ell, m, s)
-        out.values[ell, m + L] = _norm_const(ell, s) * np.dot(
-            grid.theta_weights * d_vals, f_rows[m + L]
-        )
+    norms = _norm_consts(L, s)
+    for m, block in _d_at_nodes(grid, s, range(-L, L + 1), L).items():
+        l0 = max(abs(m), s)
+        f, rows = f_rows[m + L] * grid.theta_weights, block[: L + 1 - l0]
+        out.values[l0:, m + L] = norms[l0:] * (rows @ f.real + 1j * (rows @ f.imag))
     return out
 
 

@@ -36,9 +36,12 @@ class SamplingGrid:
     sum_p w_p f(theta_p) approximates int_0^pi f(theta) sin(theta) d(theta).
     ``phi_weights`` are the uniform trapezoidal weights pi/Q.  Arrays are
     read-only.  The grid also owns the Wigner-d tables evaluated on its
-    nodes, filled on first use and freed with the grid; grids are safe to
-    share across threads (two threads may both build a missing table, and
-    each reads a complete one).
+    nodes: one block of rows d^ell_{m,-s}, ell = max(|m|, s) .. top, per
+    (order m, spin s), built for the orders and the top degree a call
+    asks for and freed with the grid.  Grids are safe to share across
+    threads: two threads may both build a missing block, and a longer
+    block may replace a shorter one, but readers always see a complete,
+    read-only array.
     """
 
     scheme: SamplingScheme

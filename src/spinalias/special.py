@@ -1,8 +1,9 @@
 """Scalar kernels: Jacobi polynomials, Wigner small-d matrices and
-spin-weighted spherical harmonics.
+spin-weighted spherical harmonics, plus the private block kernel that
+builds whole orders of Wigner-d rows on a set of nodes.
 
-All functions accept scalar or ndarray angular arguments and evaluate
-elementwise.  Everything here is pure and thread-safe.
+All public functions accept scalar or ndarray angular arguments and
+evaluate elementwise.  Everything here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -159,6 +160,67 @@ def wigner_d(ell: int, m: int, s: int, theta):
     )
     val = np.asarray(val)
     return val if val.ndim else float(val)
+
+
+def _wigner_d_blocks(orders, s: int, top: int, theta) -> list:
+    """Rows d^ell_{m,-s}(theta), ell = max(|m|, s) .. top, for each order m.
+
+    Runs the three-term recursion in ell
+
+        d^{ell+1} = A [(cos(theta) - B) d^ell - C d^{ell-1}],
+        A = (ell+1)(2ell+1) / sqrt(((ell+1)^2 - m^2)((ell+1)^2 - s^2)),
+        B = -m s / (ell (ell+1)),
+        C = sqrt((ell^2 - m^2)(ell^2 - s^2)) / (ell (2ell+1)),
+
+    once for all requested orders, each seeded by the closed form
+    :func:`wigner_d` at ell0 = max(|m|, s) (Jacobi degree 0).  At
+    ell0 = 0 (s = m = 0) B and C are 0/0 and taken as 0, which gives
+    d^1_{0,0} = cos(theta).  Returns one read-only (rows x nodes) array
+    per order, in the order given; an order with ell0 > top gets zero
+    rows.  The arrays are views of one buffer.
+    """
+    if s < 0:
+        raise ValueError(f"spin weight must be >= 0, got s={s}")
+    theta = _check_theta(theta).ravel()
+    cos_t = np.cos(theta)
+    ms = np.asarray(orders, dtype=int).reshape(-1)
+    # orders sorted by their first degree: the active ones are a prefix
+    by_start = np.argsort(np.maximum(np.abs(ms), s), kind="stable")
+    m = ms[by_start]
+    m2 = m * m
+    l0 = np.maximum(np.abs(m), s)
+    first = np.concatenate(([0], np.cumsum(np.maximum(top - l0 + 1, 0))))
+    buf = np.empty((int(first[-1]), theta.size))
+    prev = np.zeros((m.size, theta.size))
+    cur = np.zeros_like(prev)
+    k = 0
+    for ell in range(int(l0[0]) if m.size else top + 1, top + 1):
+        while k < m.size and l0[k] == ell:
+            cur[k] = wigner_d(ell, int(m[k]), s, theta)
+            k += 1
+        buf[first[:k] + (ell - l0[:k])] = cur[:k]
+        if ell == top:
+            break
+        a = (ell + 1) * (2 * ell + 1) / np.sqrt(
+            ((ell + 1) ** 2 - m2[:k]) * ((ell + 1) ** 2 - s * s))
+        if ell:
+            b = -m[:k] * s / (ell * (ell + 1))
+            c = np.sqrt((ell * ell - m2[:k]) * (ell * ell - s * s)) / (ell * (2 * ell + 1))
+        else:
+            b = c = np.zeros(k)
+        # the next row overwrites the previous one in place
+        nxt = prev[:k]
+        nxt *= -c[:, None]
+        step = cos_t - b[:, None]
+        step *= cur[:k]
+        nxt += step
+        nxt *= a[:, None]
+        prev, cur = cur, prev
+    buf.setflags(write=False)
+    blocks = [None] * m.size
+    for i, pos in enumerate(by_start):
+        blocks[pos] = buf[first[i] : first[i + 1]]
+    return blocks
 
 
 def spin_sph_harm(ell: int, m: int, s: int, theta, phi):

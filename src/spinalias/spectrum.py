@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _cross_sums, _wraps
+from .aliasing import _cross_sums, _d_at_nodes, _wraps
 from .sampling import SamplingGrid, build_grid_gauss
 
 __all__ = [
@@ -122,6 +122,8 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     weight = np.array([(2 * u + 1) * spec.total_at(u) for u in range(s, u_max + 1)]) / 4.0
     out = np.zeros(len(ell_list))
     top = max(ell_list, default=-1)
+    orders = {v for m in range(-top, top + 1) for _, v in _wraps(m, u_max, grid.Q)}
+    _d_at_nodes(grid, s, orders | set(range(-top, top + 1)), max(top, u_max))
     for m in range(-top, top + 1):
         rows = [k for k, ell in enumerate(ell_list) if ell >= abs(m)]
         for _, v in _wraps(m, u_max, grid.Q):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,6 +95,32 @@ class TestIN:
 
     def test_parity_annihilation_both_grids(self):
         assert parity_annihilation_deviation() < 1e-12
+
+    def test_shared_grid_across_threads(self):
+        # threads grow the same orders' blocks to different tops at once;
+        # every reader must still get the single-threaded value
+        cells = [(ell, m, u, v) for ell, m in [(2, 0), (5, -3), (9, 4)]
+                 for u, v in [(ell + j, m + r) for j in range(0, 30, 3) for r in (-6, 0, 6)]
+                 if u >= abs(v)]
+        expected = {c: i_n(build_grid_gauss(12, 2, 3), *c, 2) for c in cells}
+        grid = build_grid_gauss(12, 2, 3)
+
+        def worker(k):
+            order = np.random.default_rng(k).permutation(len(cells))
+            return [(cells[i], i_n(grid, *cells[i], 2)) for i in order]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = [f.result(timeout=120) for f in
+                           [pool.submit(worker, k) for k in range(8)]]
+        finally:
+            sys.setswitchinterval(old)
+        for result in results:
+            assert len(result) == len(cells)
+            for cell, value in result:
+                assert value == expected[cell], cell
 
     def test_index_errors(self, gj_grid):
         with pytest.raises(ValueError):

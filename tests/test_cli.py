@@ -89,6 +89,16 @@ class TestAliasMapCommand:
         loc_lines = sections[1].splitlines()
         assert loc_lines[0] == "scheme,j,r,class"
 
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_paper_example_wide_longitude_rules(self, q):
+        # cells with |v| = |2rQ| > u are no harmonic index and are skipped
+        code, out, err = run_cli("alias-map", "--paper-example", "--Q", q)
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        assert header == ["j", "r", "u", "v", "tau_gauss", "tau_equiangular"]
+        assert all(int(row[2]) >= abs(int(row[3])) for row in rows)
+        assert len(rows) == {"2": 4, "3": 0}[q]
+
     def test_reproducible_bytes(self):
         a = run_cli("alias-map", "--paper-example", "--Q", "1", "--format", "csv", "--seed", "0")
         b = run_cli("alias-map", "--paper-example", "--Q", "1", "--format", "csv", "--seed", "0")
@@ -247,6 +257,24 @@ class TestVerifyBandlimitCommand:
         code, out, _ = run_cli("verify-bandlimit", "--L0", "4", "--s", "2",
                                "--N", "4", "--Q", "8", "--seed", "1")
         assert code == 1
+
+    def test_fail_names_too_few_nodes(self):
+        code, out, err = run_cli("verify-bandlimit", "--L0", "4", "--s", "2",
+                                 "--N", "6", "--Q", "8", "--seed", "1")
+        assert code == 1 and out.splitlines()[1].endswith(",False")
+        assert err == ("verify-bandlimit: violated precondition: "
+                       "N - s > L0 (N - s = 4, L0 = 4)\n")
+
+    def test_fail_names_too_few_longitudes(self):
+        code, out, err = run_cli("verify-bandlimit", "--L0", "4", "--s", "2",
+                                 "--N", "7", "--Q", "3", "--seed", "1")
+        assert code == 1 and out.splitlines()[1].endswith(",False")
+        assert err == "verify-bandlimit: violated precondition: Q > L0 (Q = 3, L0 = 4)\n"
+
+    def test_pass_leaves_stderr_empty(self):
+        code, _, err = run_cli("verify-bandlimit", "--L0", "4", "--s", "2",
+                               "--N", "7", "--Q", "5", "--seed", "1")
+        assert code == 0 and err == ""
 
     def test_constant_mode(self):
         code, _, _ = run_cli("verify-bandlimit", "--L0", "0", "--s", "0",

@@ -166,6 +166,15 @@ class TestAnalyze:
         gc.collect()
         assert ref() is None
 
+    def test_tables_built_only_for_asked_orders(self):
+        # a single-mode field needs the table of its own order only
+        grid = build_grid_gauss(44, 2, 41)
+        coeffs = SpinCoefficients.zeros(2, 40)
+        coeffs.set(40, 3, 1.0)
+        synthesize(coeffs, grid)
+        assert list(grid._d_tables) == [(3, 2)]
+        assert grid._d_tables[(3, 2)].shape == (38, grid.n_theta)
+
 
 class TestMonteCarlo:
     def test_zero_spectrum(self, grid):

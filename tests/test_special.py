@@ -8,12 +8,15 @@ from scipy.special import eval_jacobi
 
 from spinalias import (
     HarmonicIndex,
+    build_grid_equiangular,
+    build_grid_gauss,
     h_factor,
     jacobi,
     jacobi_norm,
     spin_sph_harm,
     wigner_d,
 )
+from spinalias.special import _wigner_d_blocks
 
 from _invariants import (
     addition_theorem_deviation,
@@ -173,6 +176,63 @@ class TestWignerD:
     def test_theta_domain_error(self):
         with pytest.raises(ValueError):
             wigner_d(2, 0, 0, 3.5)
+
+
+def both_schemes_nodes(L, s):
+    """Gauss and equiangular nodes for band L (the latter has theta = 0
+    and pi/2), plus theta = pi."""
+    gauss = build_grid_gauss(s + L + 1, s, 1).theta_nodes
+    equi = build_grid_equiangular(s + L + 2 + L % 2, s, 1).theta_nodes
+    assert equi[0] == 0.0 and np.abs(equi - math.pi / 2).min() < 1e-15
+    return np.concatenate([gauss, equi, [math.pi]])
+
+
+class TestWignerDBlocks:
+    """The per-order recursion kernel against the scalar oracle wigner_d."""
+
+    def check_rows(self, L, s, row_offsets):
+        theta = both_schemes_nodes(L, s)
+        orders = list(range(-L, L + 1))
+        blocks = _wigner_d_blocks(orders, s, L, theta)
+        for m, block in zip(orders, blocks):
+            l0 = max(abs(m), s)
+            assert block.shape == (L - l0 + 1, theta.size)
+            assert not block.flags.writeable
+            for ell in sorted({l0 + k for k in row_offsets(L - l0) if l0 + k <= L}):
+                assert_allclose(block[ell - l0], wigner_d(ell, m, s, theta),
+                                rtol=0, atol=1e-12, err_msg=f"ell={ell} m={m} s={s}")
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_every_row_small_band(self, s):
+        self.check_rows(24, s, lambda n: range(n + 1))
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_large_band_every_order(self, s):
+        # the first steps, every 16th degree and the top row of every order
+        # (the full sweep costs the oracle minutes at L = 128)
+        self.check_rows(128, s, lambda n: [0, 1, 2, *range(0, n + 1, 16), n])
+
+    def test_ell0_zero_first_step(self):
+        theta = np.linspace(0.0, math.pi, 13)
+        (block,) = _wigner_d_blocks([0], 0, 3, theta)
+        assert_allclose(block[0], 1.0, rtol=0, atol=0)
+        assert_allclose(block[1], np.cos(theta), rtol=0, atol=1e-15)
+
+    def test_shorter_top_is_a_prefix(self):
+        theta = both_schemes_nodes(40, 2)
+        orders = [-40, -7, -2, 0, 1, 3, 25, 40]
+        short = _wigner_d_blocks(orders, 2, 30, theta)
+        full = _wigner_d_blocks(orders, 2, 40, theta)
+        for m, a, b in zip(orders, short, full):
+            assert a.shape[0] == max(30 - max(abs(m), 2) + 1, 0)
+            assert np.array_equal(a, b[: a.shape[0]]), m
+
+    def test_order_subsets_agree(self):
+        # a block does not depend on which other orders share the pass
+        theta = both_schemes_nodes(20, 1)
+        alone = _wigner_d_blocks([5], 1, 20, theta)[0]
+        mixed = _wigner_d_blocks([-20, 5, 0, 19], 1, 20, theta)[1]
+        assert np.array_equal(alone, mixed)
 
 
 class TestSpinSphHarm:
