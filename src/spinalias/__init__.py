@@ -36,7 +36,6 @@ from .sampling import (
 )
 from .special import (
     HarmonicIndex,
-    h_factor,
     jacobi,
     jacobi_norm,
     spin_sph_harm,
@@ -77,7 +76,6 @@ __all__ = [
     "distance_bound_report",
     "enumerate_aliases",
     "gauss_nodes",
-    "h_factor",
     "h_q",
     "i_n",
     "jacobi",

@@ -17,7 +17,6 @@ __all__ = [
     "HarmonicIndex",
     "jacobi",
     "jacobi_norm",
-    "h_factor",
     "wigner_d",
     "spin_sph_harm",
 ]
@@ -92,26 +91,6 @@ def jacobi_norm(nu: int, alpha: float, beta: float) -> float:
     return math.exp(log_val) / (2.0 * nu + alpha + beta + 1.0)
 
 
-def h_factor(z1: int, z2: int, z3: int) -> float:
-    """sqrt( (z3-z2)! (z3+z2)! / ((z3+z1)! (z3-z1)!) ), in log space.
-
-    Safe for arguments of several hundred where direct factorials would
-    overflow.
-    """
-    for arg in (z3 - z2, z3 + z2, z3 + z1, z3 - z1):
-        if arg < 0:
-            raise ValueError(
-                f"negative factorial argument in h_factor({z1}, {z2}, {z3})"
-            )
-    log_val = 0.5 * (
-        math.lgamma(z3 - z2 + 1)
-        + math.lgamma(z3 + z2 + 1)
-        - math.lgamma(z3 + z1 + 1)
-        - math.lgamma(z3 - z1 + 1)
-    )
-    return math.exp(log_val)
-
-
 def _check_theta(theta):
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < -_THETA_TOL) or np.any(theta > math.pi + _THETA_TOL):
@@ -151,13 +130,11 @@ def wigner_d(ell: int, m: int, s: int, theta):
     )
     sign = -1.0 if lam % 2 else 1.0
     half = 0.5 * theta
-    val = (
-        sign
-        * math.exp(log_pref)
-        * np.sin(half) ** a
-        * np.cos(half) ** b
-        * jacobi(k, float(a), float(b), np.cos(theta))
-    )
+    # the prefactor overflows alone for ell > ~1030; a = 0 keeps sin^0(0) = 1
+    with np.errstate(divide="ignore"):
+        log_sin = a * np.log(np.sin(half)) if a else 0.0
+    log_val = log_pref + log_sin + b * np.log(np.cos(half))
+    val = sign * np.exp(log_val) * jacobi(k, float(a), float(b), np.cos(theta))
     val = np.asarray(val)
     return val if val.ndim else float(val)
 
@@ -172,9 +149,11 @@ def _wigner_d_blocks(orders, s: int, top: int, theta) -> list:
         B = -m s / (ell (ell+1)),
         C = sqrt((ell^2 - m^2)(ell^2 - s^2)) / (ell (2ell+1)),
 
-    once for all requested orders, each seeded by the closed form
-    :func:`wigner_d` at ell0 = max(|m|, s) (Jacobi degree 0).  At
-    ell0 = 0 (s = m = 0) B and C are 0/0 and taken as 0, which gives
+    once for all requested orders, each seeded at ell0 = max(|m|, s) by
+    the closed form sigma sqrt(C(2 ell0, p)) sin^p(theta/2) cos^q(theta/2),
+    p = |m+s|, q = |m-s|, sigma = (-1)^(m+s) if m < -s else 1, taken in
+    log space (C = 0 at ell0, so no earlier row is needed).  At ell0 = 0
+    (s = m = 0) B and C are 0/0 and taken as 0, which gives
     d^1_{0,0} = cos(theta).  Returns one read-only (rows x nodes) array
     per order, in the order given; an order with ell0 > top gets zero
     rows.  The arrays are views of one buffer.
@@ -189,15 +168,18 @@ def _wigner_d_blocks(orders, s: int, top: int, theta) -> list:
     m = ms[by_start]
     m2 = m * m
     l0 = np.maximum(np.abs(m), s)
+    p, q = np.abs(m + s)[:, None], np.abs(m - s)[:, None]
+    log_c = [math.lgamma(2 * n + 1) - math.lgamma(i + 1) - math.lgamma(j + 1)
+             for n, i, j in zip(l0, p.flat, q.flat)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 at theta = 0: 0 log 0 = 0
+        log_sin = np.where(p > 0, p * np.log(np.sin(theta / 2)), 0.0)
+    sign = np.where((m < -s) & ((m + s) % 2 == 1), -1.0, 1.0)[:, None]
+    cur = sign * np.exp(0.5 * np.c_[log_c] + log_sin + q * np.log(np.cos(theta / 2)))
+    prev = cur.copy()  # an order not yet reached keeps its seed in both rows
     first = np.concatenate(([0], np.cumsum(np.maximum(top - l0 + 1, 0))))
     buf = np.empty((int(first[-1]), theta.size))
-    prev = np.zeros((m.size, theta.size))
-    cur = np.zeros_like(prev)
-    k = 0
     for ell in range(int(l0[0]) if m.size else top + 1, top + 1):
-        while k < m.size and l0[k] == ell:
-            cur[k] = wigner_d(ell, int(m[k]), s, theta)
-            k += 1
+        k = np.searchsorted(l0, ell, side="right")
         buf[first[:k] + (ell - l0[:k])] = cur[:k]
         if ell == top:
             break

@@ -12,6 +12,7 @@ import numpy as np
 
 from .aliasing import _cross_sums, _d_at_nodes, _wraps
 from .sampling import SamplingGrid, build_grid_gauss
+from .special import _wigner_d_blocks
 
 __all__ = [
     "AngularPowerSpectrum",
@@ -136,28 +137,15 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
 def circular_covariance(spec: AngularPowerSpectrum, theta_psi: float) -> float:
     """Circular covariance sum_ell (2*ell+1)/(4*pi) C_ell d^ell_{s,s}(theta).
 
-    The diagonal Wigner element is evaluated through its Jacobi form
-    cos(theta/2)^(2s) P^(0,2s)_{ell-s}(cos theta), truncated at L_max.
+    d^ell_{s,s} = d^ell_{-s,-s} is the order -s block of the Wigner-d
+    kernel; the sum is truncated at L_max.
     """
-    from .special import jacobi
-
     if not (0.0 <= theta_psi <= math.pi + 1e-9):
         raise ValueError("theta outside [0, pi]")
     s = spec.s
-    cos_half = math.cos(theta_psi / 2.0) ** (2 * s)
-    total = 0.0
-    for ell in range(s, spec.L_max + 1):
-        c_l = spec.total_at(ell)
-        if c_l == 0.0:
-            continue
-        total += (
-            (2 * ell + 1)
-            / (4.0 * math.pi)
-            * c_l
-            * cos_half
-            * float(jacobi(ell - s, 0.0, 2.0 * s, math.cos(theta_psi)))
-        )
-    return total
+    (block,) = _wigner_d_blocks([-s], s, spec.L_max, [theta_psi])
+    weights = (2 * np.arange(s, spec.L_max + 1) + 1) * spec.C_total / (4.0 * math.pi)
+    return float(weights @ block[:, 0])
 
 
 @dataclass(frozen=True)

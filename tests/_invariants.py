@@ -46,6 +46,26 @@ def jacobi_deriv(nu: int, alpha: float, beta: float, t):
     return 0.5 * (nu + alpha + beta + 1.0) * jacobi(nu - 1, alpha + 1.0, beta + 1.0, t)
 
 
+def h_factor(z1: int, z2: int, z3: int) -> float:
+    """sqrt( (z3-z2)! (z3+z2)! / ((z3+z1)! (z3-z1)!) ), in log space.
+
+    Safe for arguments of several hundred where direct factorials would
+    overflow.
+    """
+    for arg in (z3 - z2, z3 + z2, z3 + z1, z3 - z1):
+        if arg < 0:
+            raise ValueError(
+                f"negative factorial argument in h_factor({z1}, {z2}, {z3})"
+            )
+    log_val = 0.5 * (
+        math.lgamma(z3 - z2 + 1)
+        + math.lgamma(z3 + z2 + 1)
+        - math.lgamma(z3 + z1 + 1)
+        - math.lgamma(z3 - z1 + 1)
+    )
+    return math.exp(log_val)
+
+
 def gauss_weights_from_derivative(nodes, n: int, alpha: float = 0.0, beta: float = 0.0):
     """Gauss-Jacobi weights from the classical derivative formula.
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from spinalias import (
     AngularPowerSpectrum,
+    FieldSamples,
     HarmonicIndex,
     SpinCoefficients,
     aliased_coefficient,
@@ -154,6 +155,21 @@ class TestAnalyze:
             tilde = analyze(synthesize(coeffs, grid), 2, 4)
             out_energy = float((np.abs(tilde.values) ** 2).sum())
             assert abs(in_energy - out_energy) < 1e-10, grid.scheme
+
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_dense_basis_oracle(self, s):
+        # the field summed mode by mode from spin_sph_harm (wigner_d), which
+        # shares no code with the Wigner-d blocks behind synthesize/analyze
+        L0 = 6
+        coeffs = sample_gaussian_coeffs(AngularPowerSpectrum.flat(s, L0), L0, seed=17)
+        for grid in (build_grid_gauss(s + L0 + 1, s, L0 + 1),
+                     build_grid_equiangular(s + L0 + 2, s, L0 + 1)):
+            theta, phi = grid.theta_nodes[:, None], grid.phi_nodes[None, :]
+            dense = sum(coeffs.get(ell, m) * spin_sph_harm(ell, m, s, theta, phi)
+                        for ell, m in coeffs.indices())
+            assert np.abs(synthesize(coeffs, grid).values - dense).max() < 1e-12, grid.scheme
+            tilde = analyze(FieldSamples(grid, dense), s, L0)
+            assert np.abs(tilde.values - coeffs.values).max() < 1e-12, grid.scheme
 
     def test_tables_freed_with_grid(self):
         # the Wigner-d tables belong to the grid, so dropping it frees them

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,6 @@ from spinalias import (
     HarmonicIndex,
     build_grid_equiangular,
     build_grid_gauss,
-    h_factor,
     jacobi,
     jacobi_norm,
     spin_sph_harm,
@@ -20,6 +21,7 @@ from spinalias.special import _wigner_d_blocks
 
 from _invariants import (
     addition_theorem_deviation,
+    h_factor,
     jacobi_deriv,
     orthonormality_deviation,
     wigner_parity_deviation,
@@ -51,6 +53,34 @@ def wigner_d_factorial_sum(l, m1, m2, beta):
             * math.sin(beta / 2) ** (2 * k + m2 - m1)
         )
     return total
+
+
+def mp_wigner_d(l, m1, m2, beta):
+    """Independent oracle for large degrees: d^l_{m1,m2} from its Jacobi
+    form, evaluated at 50 digits with mpmath (float result)."""
+    with mpmath.workdps(50):
+        k = min(l + m1, l - m1, l + m2, l - m2)
+        if k in (l + m1, l - m2):
+            a, sign = m2 - m1, (-1) ** (m2 - m1)
+        else:
+            a, sign = m1 - m2, 1
+        b = 2 * l - 2 * k - a
+        beta = mpmath.mpf(beta)
+        x = mpmath.cos(beta)
+        # P_k^(a,b)(x) = (-1)^k P_k^(b,a)(-x) keeps the series argument small
+        poly = (mpmath.jacobi(k, a, b, x) if x >= 0
+                else (-1) ** k * mpmath.jacobi(k, b, a, -x))
+        pref = mpmath.sqrt(mpmath.binomial(2 * l - k, k + a) / mpmath.binomial(k + b, b))
+        return float(sign * pref * mpmath.sin(beta / 2) ** a * mpmath.cos(beta / 2) ** b * poly)
+
+
+def assert_matches_mp(values, l, m1, m2, theta, rtol=1e-11):
+    """Relative agreement where |d| > 1e-3, absolute 1e-13 elsewhere."""
+    ref = np.array([mp_wigner_d(l, m1, m2, t) for t in theta])
+    big = np.abs(ref) > 1e-3
+    msg = f"l={l} m1={m1} m2={m2}"
+    assert_allclose(np.asarray(values)[big], ref[big], rtol=rtol, atol=0, err_msg=msg)
+    assert_allclose(np.asarray(values)[~big], ref[~big], rtol=0, atol=1e-13, err_msg=msg)
 
 
 class TestJacobi:
@@ -169,6 +199,24 @@ class TestWignerD:
     def test_parity_sweep(self):
         assert wigner_parity_deviation(l_max=20) < 1e-12
 
+    def test_mp_oracle_matches_factorial_sum(self):
+        for ell in range(5):
+            for m1 in range(-ell, ell + 1):
+                for m2 in range(-ell, ell + 1):
+                    for theta in (0.0, 0.37, 2.6, math.pi):
+                        assert_allclose(mp_wigner_d(ell, m1, m2, theta),
+                                        wigner_d_factorial_sum(ell, m1, m2, theta),
+                                        atol=5e-15)
+
+    @pytest.mark.parametrize("ell,m,s", [(1100, 1095, 2), (2000, 1990, 3), (1500, -1497, 2)])
+    def test_large_degree_against_mpmath(self, ell, m, s):
+        # the factorial prefactor alone passes the double range here
+        theta = [0.0, 0.3, 1.5, 2.9, math.pi]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = wigner_d(ell, m, s, theta)
+        assert_matches_mp(values, ell, m, -s, theta)
+
     def test_index_error(self):
         with pytest.raises(ValueError):
             wigner_d(1, 2, 0, 0.5)
@@ -226,6 +274,42 @@ class TestWignerDBlocks:
         for m, a, b in zip(orders, short, full):
             assert a.shape[0] == max(30 - max(abs(m), 2) + 1, 0)
             assert np.array_equal(a, b[: a.shape[0]]), m
+
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_seeds_beyond_factorial_range(self, s):
+        # closed-form seeds at ell0 = 1100 and 1095, and the orders m = -s
+        # (sin^0 at theta = 0) and m = 0 carried up to the same top
+        theta = np.array([0.0, 1e-3, 0.3, math.pi / 2, 1.9, 3.0, math.pi])
+        orders, top = [1100, -1100, 1095, -s, 0], 1110
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = _wigner_d_blocks(orders, s, top, theta)
+        for m, block in zip(orders, blocks):
+            l0 = max(abs(m), s)
+            assert block.shape == (top - l0 + 1, theta.size)
+            assert_matches_mp(block[0], l0, m, -s, theta)
+            # after 1100 steps the recursion error at the poles is about
+            # ell^2 eps: 1.7e-11 at theta = 0 for m = -s = -2
+            assert_matches_mp(block[-1], top, m, -s, theta,
+                              rtol=1e-11 if top - l0 < 100 else 3e-11)
+
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_small_band_sweep_without_warnings(self, s):
+        # every order, m = -s and s = m = 0 included, on nodes with both poles
+        L = 24
+        theta = both_schemes_nodes(L, s)
+        orders = list(range(-L, L + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = _wigner_d_blocks(orders, s, L, theta)
+        for m, block in zip(orders, blocks):
+            l0 = max(abs(m), s)
+            assert_matches_mp(block[0], l0, m, -s, theta)
+            # d^l_{m,-s}(0) = delta_{m,-s}, d^l_{m,-s}(pi) = (-1)^(l+m) delta_{m,s}
+            ells = np.arange(l0, L + 1)
+            assert_allclose(block[:, theta == 0.0].ravel(), float(m == -s) * np.ones(ells.size),
+                            rtol=0, atol=1e-13)
+            assert_allclose(block[:, -1], (m == s) * (-1.0) ** (ells + m), rtol=0, atol=1e-13)
 
     def test_order_subsets_agree(self):
         # a block does not depend on which other orders share the pass
