@@ -8,8 +8,6 @@ from .aliasing import (
     AliasClass,
     AliasEntry,
     AliasMap,
-    aliased_coefficient,
-    aliased_eb,
     distance_bound_report,
     enumerate_aliases,
     h_q,
@@ -17,13 +15,17 @@ from .aliasing import (
     tau,
 )
 from .fieldsim import (
+    BandlimitReport,
     FieldSamples,
     MonteCarloReport,
     SpinCoefficients,
+    aliased_coefficient,
+    aliased_eb,
     analyze,
     monte_carlo_spectrum,
     sample_gaussian_coeffs,
     synthesize,
+    verify_bandlimit,
 )
 from .sampling import (
     SamplingGrid,
@@ -43,11 +45,9 @@ from .special import (
 )
 from .spectrum import (
     AngularPowerSpectrum,
-    BandlimitReport,
     XiFactors,
     aliased_spectrum,
     circular_covariance,
-    verify_bandlimit,
     xi_factors,
 )
 

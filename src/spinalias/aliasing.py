@@ -7,9 +7,8 @@ coefficient mixes in other coefficients with weight
 
 where H is the longitude phase sum (a Kronecker comb on v = m + 2rQ) and
 I is the colatitude cross sum of Wigner-d elements.  This module
-evaluates both factors, enumerates the nonzero alias cells of a source
-coefficient and classifies them, and applies the discrete coefficient
-sum to sampled fields.
+evaluates both factors and enumerates the nonzero alias cells of a
+source coefficient and classifies them.
 """
 
 from __future__ import annotations
@@ -17,15 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .sampling import SamplingGrid
-from .special import HarmonicIndex, _wigner_d_blocks
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .fieldsim import FieldSamples, SpinCoefficients
+from .special import HarmonicIndex
 
 __all__ = [
     "AliasClass",
@@ -37,8 +32,6 @@ __all__ = [
     "i_n",
     "tau",
     "enumerate_aliases",
-    "aliased_coefficient",
-    "aliased_eb",
     "distance_bound_report",
 ]
 
@@ -90,27 +83,6 @@ def h_q(m: int, v: int, Q: int) -> complex:
     return complex(2.0 * math.pi) if (v - m) % (2 * Q) == 0 else 0.0j
 
 
-def _d_at_nodes(grid: SamplingGrid, s: int, orders, top: int) -> dict:
-    """Blocks of d^ell_{m,-s} over the grid's nodes, per order m in ``orders``.
-
-    Row i of block m holds ell = max(|m|, s) + i; each block reaches at
-    least ``top``.  Blocks are cached on the grid under (m, s); a request
-    beyond a cached block rebuilds that order to ``top``, in one
-    recursion pass over every such order.
-    """
-    tables = grid._d_tables
-    out = {}
-    for m in map(int, orders):
-        block = tables.get((m, s))  # one read: another thread may replace it
-        if block is not None and max(abs(m), s) + len(block) > top:
-            out[m] = block
-    stale = sorted({int(m) for m in orders} - out.keys())
-    if stale:
-        for m, block in zip(stale, _wigner_d_blocks(stale, s, top, grid.theta_nodes)):
-            tables[(m, s)] = out[m] = block
-    return out
-
-
 def _rows(block: np.ndarray, order: int, s: int, degs) -> np.ndarray:
     """Rows of an order's block for the degrees ``degs``."""
     return block[np.asarray(degs, dtype=int) - max(abs(order), s)]
@@ -118,8 +90,8 @@ def _rows(block: np.ndarray, order: int, s: int, degs) -> np.ndarray:
 
 def _cross_sums(grid: SamplingGrid, s: int, m: int, ells, v: int, us) -> np.ndarray:
     """The cross sums I of :func:`i_n` for rows ell in ``ells``, columns u in ``us``."""
-    d_m = _d_at_nodes(grid, s, [m], max(ells, default=0))[m]
-    d_v = _d_at_nodes(grid, s, [v], max(us, default=0))[v]
+    d_m = grid._d_blocks(s, [m], max(ells, default=0))[m]
+    d_v = grid._d_blocks(s, [v], max(us, default=0))[v]
     return (_rows(d_m, m, s, ells) * grid.theta_weights) @ _rows(d_v, v, s, us).T
 
 
@@ -159,17 +131,13 @@ def tau(grid: SamplingGrid, source: HarmonicIndex, u: int, v: int) -> float:
 
 
 def enumerate_aliases(
-    source: HarmonicIndex,
-    grid: SamplingGrid,
-    u_max: int | None = None,
-    *,
-    intensity_floor: float = INTENSITY_FLOOR,
+    source: HarmonicIndex, grid: SamplingGrid, u_max: int | None = None
 ) -> AliasMap:
     """All aliases of ``source`` with degree at most ``u_max``.
 
     Walks every lattice cell (j, r) with s <= ell+j <= u_max and
     |m + 2rQ| <= ell+j, excluding the identity cell (0, 0), and keeps the
-    cells whose intensity exceeds ``intensity_floor`` (parity-annihilated
+    cells whose intensity exceeds ``INTENSITY_FLOOR`` (parity-annihilated
     cells evaluate to round-off and are dropped).  Cells with degree
     offset j beyond N-s-1 are primary (immune to longitude refinement),
     the rest secondary.  Entries come back sorted by frequency-domain
@@ -181,14 +149,14 @@ def enumerate_aliases(
         raise ValueError(f"need u_max >= ell, got u_max={u_max}, ell={source.ell}")
     ell, m, s = source.ell, source.m, source.s
     wraps = _wraps(m, u_max, grid.Q)  # r = 0 gives the source order itself
-    _d_at_nodes(grid, s, [v for _, v in wraps], u_max)
+    grid._d_blocks(s, [v for _, v in wraps], u_max)
     entries = []
     for r, v in wraps:
         us = range(max(abs(v), s), u_max + 1)
         taus = _kappa(ell, np.asarray(us)) * _cross_sums(grid, s, m, [ell], v, us)[0]
         for u, t_val in zip(us, taus.tolist()):
             j = u - ell
-            if (j == 0 and r == 0) or abs(t_val) <= intensity_floor:
+            if (j == 0 and r == 0) or abs(t_val) <= INTENSITY_FLOOR:
                 continue
             klass = (
                 AliasClass.PRIMARY if j > grid.N - grid.s - 1 else AliasClass.SECONDARY
@@ -207,45 +175,6 @@ def enumerate_aliases(
             )
     entries.sort(key=lambda e: (e.distance, e.j, e.r))
     return AliasMap(source=source, grid=grid, u_max=u_max, entries=tuple(entries))
-
-
-def aliased_coefficient(field: "FieldSamples", source: HarmonicIndex) -> complex:
-    """Discrete coefficient sum over the sampled field.
-
-    sum_k w_k T(theta_k, phi_k) conj(Y_{ell,m;s}(theta_k, phi_k)) with
-    separable weights w_k = w_p^(theta) w_q^(phi), w_p the measure weights.
-    """
-    grid = field.grid
-    if field.values.shape != (grid.n_theta, grid.n_phi):
-        raise ValueError(
-            f"field shape {field.values.shape} does not match grid "
-            f"({grid.n_theta}, {grid.n_phi})"
-        )
-    ell, m, s = source.ell, source.m, source.s
-    norm = math.sqrt((2 * ell + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
-    d_vals = _d_at_nodes(grid, s, [m], ell)[m][ell - max(abs(m), s)]
-    row = grid.theta_weights * d_vals
-    col = grid.phi_weights * np.exp(-1j * m * grid.phi_nodes)
-    return complex(norm * (row @ field.values @ col))
-
-
-def aliased_eb(
-    coeffs: "SpinCoefficients", grid: SamplingGrid, ell: int, m: int
-) -> tuple[complex, complex]:
-    """Aliased electric and magnetic coefficients at (ell, m).
-
-    Synthesizes the field on ``grid``, computes the aliased coefficients
-    at +-m and combines them as
-    (a~_E, a~_B) = ((a~_{m} + conj(a~_{-m}))/2, (a~_{m} - conj(a~_{-m}))/2).
-    """
-    from .fieldsim import synthesize
-
-    field = synthesize(coeffs, grid)
-    a_plus = aliased_coefficient(field, HarmonicIndex(ell, m, coeffs.s))
-    a_minus = aliased_coefficient(field, HarmonicIndex(ell, -m, coeffs.s))
-    a_e = 0.5 * (a_plus + a_minus.conjugate())
-    a_b = 0.5 * (a_plus - a_minus.conjugate())
-    return a_e, a_b
 
 
 def distance_bound_report(alias_map: AliasMap) -> DistanceReport:

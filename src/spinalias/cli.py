@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 
 from . import __version__
 from .aliasing import enumerate_aliases, tau
-from .fieldsim import monte_carlo_spectrum
+from .fieldsim import monte_carlo_spectrum, verify_bandlimit
 from .sampling import (
     SamplingScheme,
     build_grid_equiangular,
@@ -24,7 +25,7 @@ from .sampling import (
 )
 from .serialize import SpectrumFileError, fmt, load_spectrum, render_csv, render_json
 from .special import HarmonicIndex
-from .spectrum import AngularPowerSpectrum, aliased_spectrum, verify_bandlimit
+from .spectrum import AngularPowerSpectrum, aliased_spectrum
 
 PAPER_N, PAPER_S = 6, 2
 PAPER_SOURCE = HarmonicIndex(2, 0, 2)
@@ -50,6 +51,11 @@ def _emit(args, metadata: dict, tables: dict) -> None:
         text = render_json(metadata, tables)
     else:
         text = render_csv(list(tables.values()))
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """Write ``text`` to ``--out`` if given, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -99,14 +105,7 @@ def _cmd_grid(args) -> int:
             "phi": [{"node": float(n), "weight": float(w)}
                     for n, w in zip(grid.phi_nodes, grid.phi_weights)],
         }
-        import json as _json
-
-        text = _json.dumps({"metadata": meta, **doc}, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, json.dumps({"metadata": meta, **doc}, indent=2) + "\n")
         return 0
     _emit(args, {}, {"grid": (["axis", "index", "node", "weight"], rows)})
     return 0

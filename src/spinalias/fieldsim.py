@@ -1,25 +1,34 @@
-"""Band-limited spin field synthesis, Gaussian coefficient draws and the
-Monte Carlo harness for the aliased-spectrum prediction.
+"""The field route: band-limited spin field synthesis, the discrete
+coefficient sum over sampled fields, Gaussian coefficient draws, and the
+checks of the alias analysis built on them (aliased coefficients, the
+band-limit round trip and the Monte Carlo harness for the aliased-spectrum
+prediction).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _d_at_nodes
-from .sampling import SamplingGrid
+from . import spectrum
+from .sampling import SamplingGrid, build_grid_gauss
+from .special import HarmonicIndex
 
 __all__ = [
     "SpinCoefficients",
     "FieldSamples",
     "MonteCarloReport",
+    "BandlimitReport",
     "GENERATOR_NAME",
     "synthesize",
     "sample_gaussian_coeffs",
     "analyze",
+    "aliased_coefficient",
+    "aliased_eb",
+    "verify_bandlimit",
     "monte_carlo_spectrum",
 ]
 
@@ -37,7 +46,6 @@ class SpinCoefficients:
     s: int
     L_max: int
     values: np.ndarray
-    provenance: str = "manual"
 
     def __post_init__(self):
         expected = (self.L_max + 1, 2 * self.L_max + 1)
@@ -45,11 +53,11 @@ class SpinCoefficients:
             raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
 
     @classmethod
-    def zeros(cls, s: int, L_max: int, provenance: str = "manual") -> "SpinCoefficients":
+    def zeros(cls, s: int, L_max: int) -> "SpinCoefficients":
         if L_max < s:
             raise ValueError(f"need L_max >= s, got L_max={L_max}, s={s}")
         values = np.zeros((L_max + 1, 2 * L_max + 1), dtype=complex)
-        return cls(s=s, L_max=L_max, values=values, provenance=provenance)
+        return cls(s=s, L_max=L_max, values=values)
 
     def indices(self):
         """All valid (ell, m) pairs, ell-major."""
@@ -70,7 +78,7 @@ class SpinCoefficients:
             raise ValueError(f"index (ell={ell}, m={m}) invalid for s={self.s}, L_max={self.L_max}")
 
     def copy(self) -> "SpinCoefficients":
-        return SpinCoefficients(self.s, self.L_max, self.values.copy(), self.provenance)
+        return SpinCoefficients(self.s, self.L_max, self.values.copy())
 
 
 @dataclass
@@ -79,7 +87,6 @@ class FieldSamples:
 
     grid: SamplingGrid
     values: np.ndarray
-    meta: str = ""
 
     def __post_init__(self):
         expected = (self.grid.n_theta, self.grid.n_phi)
@@ -99,7 +106,7 @@ def _theta_profiles(coeffs: SpinCoefficients, grid: SamplingGrid) -> np.ndarray:
     norms = _norm_consts(L, s)
     # only the orders that carry a coefficient get a table
     orders = np.flatnonzero(coeffs.values.any(axis=0)) - L
-    for m, block in _d_at_nodes(grid, s, orders, L).items():
+    for m, block in grid._d_blocks(s, orders, L).items():
         l0 = max(abs(m), s)
         a = coeffs.values[l0:, m + L] * norms[l0:]
         rows = block[: L + 1 - l0]
@@ -117,7 +124,7 @@ def synthesize(coeffs: SpinCoefficients, grid: SamplingGrid) -> FieldSamples:
     profiles = _theta_profiles(coeffs, grid)
     phases = np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi_nodes))
     values = profiles.T @ phases
-    return FieldSamples(grid=grid, values=values, meta=f"synthesis({coeffs.provenance})")
+    return FieldSamples(grid=grid, values=values)
 
 
 def sample_gaussian_coeffs(spec, L0: int, seed) -> SpinCoefficients:
@@ -132,7 +139,7 @@ def sample_gaussian_coeffs(spec, L0: int, seed) -> SpinCoefficients:
         raise ValueError(f"need L0 <= spectrum L_max, got L0={L0}, L_max={spec.L_max}")
     rng = np.random.default_rng(seed)
     s = spec.s
-    out = SpinCoefficients.zeros(s, L0, provenance=f"gaussian(seed={seed})")
+    out = SpinCoefficients.zeros(s, L0)
     for ell in range(s, L0 + 1):
         n_m = 2 * ell + 1
         scale_e = math.sqrt(spec.C_E[ell - s] / 2.0)
@@ -146,9 +153,9 @@ def sample_gaussian_coeffs(spec, L0: int, seed) -> SpinCoefficients:
 def analyze(fieldsamples: FieldSamples, s: int, L_max: int) -> SpinCoefficients:
     """Discrete coefficient sums for all ell <= L_max.
 
-    Row-separated evaluation of the same sum as
-    :func:`spinalias.aliasing.aliased_coefficient`; the two agree to
-    round-off per index.
+    a~_{ell,m} = sum_k w_k T(theta_k, phi_k) conj(Y_{ell,m;s}(theta_k, phi_k))
+    with separable weights w_k = w_p^(theta) w_q^(phi), w_p the measure
+    weights, evaluated one longitude row and one order at a time.
     """
     grid = fieldsamples.grid
     if fieldsamples.values.shape != (grid.n_theta, grid.n_phi):
@@ -159,11 +166,67 @@ def analyze(fieldsamples: FieldSamples, s: int, L_max: int) -> SpinCoefficients:
     phases = np.exp(-1j * np.outer(np.arange(-L, L + 1), grid.phi_nodes))
     f_rows = (phases * grid.phi_weights) @ fieldsamples.values.T
     norms = _norm_consts(L, s)
-    for m, block in _d_at_nodes(grid, s, range(-L, L + 1), L).items():
+    for m, block in grid._d_blocks(s, range(-L, L + 1), L).items():
         l0 = max(abs(m), s)
         f, rows = f_rows[m + L] * grid.theta_weights, block[: L + 1 - l0]
         out.values[l0:, m + L] = norms[l0:] * (rows @ f.real + 1j * (rows @ f.imag))
     return out
+
+
+def aliased_coefficient(field: FieldSamples, source: HarmonicIndex) -> complex:
+    """The discrete coefficient sum of :func:`analyze` at one index."""
+    return analyze(field, source.s, source.ell).get(source.ell, source.m)
+
+
+def aliased_eb(
+    coeffs: SpinCoefficients, grid: SamplingGrid, ell: int, m: int
+) -> tuple[complex, complex]:
+    """Aliased electric and magnetic coefficients at (ell, m).
+
+    Synthesizes the field on ``grid`` and analyzes it.  With
+    conj(Y_{ell,m;s}) = (-1)^(m+s) Y_{ell,-m;-s}, the spin -s coefficient
+    is (-1)^(m+s) conj(a~_{-m}), so
+    (a~_E, a~_B) = ((a~_m + (-1)^(m+s) conj(a~_{-m}))/2,
+                    (a~_m - (-1)^(m+s) conj(a~_{-m}))/2).
+    """
+    tilde = analyze(synthesize(coeffs, grid), coeffs.s, ell)
+    mirror = (-1) ** (m + coeffs.s) * tilde.get(ell, -m).conjugate()
+    a_plus = tilde.get(ell, m)
+    return 0.5 * (a_plus + mirror), 0.5 * (a_plus - mirror)
+
+
+@dataclass(frozen=True)
+class BandlimitReport:
+    L0: int
+    s: int
+    N: int
+    Q: int
+    seed: int
+    max_abs_error: float
+    tolerance: float
+    passed: bool
+
+
+def verify_bandlimit(L0: int, s: int, N: int, Q: int, seed: int) -> BandlimitReport:
+    """Round-trip check of the alias-free reconstruction guarantee.
+
+    Draws one random coefficient set band-limited at L0, synthesizes it
+    on the Gauss grid (N, s, Q), re-analyzes, and reports the largest
+    coefficient error against the tolerance 1e-10.  Exact reconstruction
+    needs enough colatitude nodes (N - s > L0) and enough longitudes
+    (Q > L0); failure is a report outcome, not an exception.
+    """
+    if L0 < s:
+        raise ValueError(f"need L0 >= s, got L0={L0}, s={s}")
+    tol = 1e-10
+    grid = build_grid_gauss(N, s, Q)
+    coeffs = sample_gaussian_coeffs(spectrum.AngularPowerSpectrum.flat(s, L0), L0, seed)
+    tilde = analyze(synthesize(coeffs, grid), s, L0)
+    max_err = float(np.abs(tilde.values - coeffs.values).max())
+    return BandlimitReport(
+        L0=L0, s=s, N=N, Q=Q, seed=seed,
+        max_abs_error=max_err, tolerance=tol, passed=max_err < tol,
+    )
 
 
 @dataclass
@@ -177,7 +240,6 @@ class MonteCarloReport:
     seed: int
     L0: int
     generator: str = GENERATOR_NAME
-    grid_params: dict = field(default_factory=dict)
 
 
 def monte_carlo_spectrum(
@@ -193,8 +255,6 @@ def monte_carlo_spectrum(
     one SeedSequence, so results are reproducible for a fixed seed
     regardless of evaluation order.
     """
-    from .spectrum import aliased_spectrum
-
     if n_real < 100:
         raise ValueError(f"need n_real >= 100, got {n_real}")
     ell_list = list(ell_list)
@@ -209,11 +269,9 @@ def monte_carlo_spectrum(
     mean = samples.mean(axis=0)
     sterr = samples.std(axis=0, ddof=1) / math.sqrt(n_real)
     # the drawn ensemble is band-limited at L0, so u_max = L0 is not a truncation
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        predicted = np.asarray(aliased_spectrum(grid, spec, ell_list, u_max=L0))
+        predicted = np.asarray(spectrum.aliased_spectrum(grid, spec, ell_list, u_max=L0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sterr > 0, (mean - predicted) / sterr, 0.0)
     return MonteCarloReport(
@@ -225,10 +283,4 @@ def monte_carlo_spectrum(
         n_real=n_real,
         seed=seed,
         L0=L0,
-        grid_params={
-            "scheme": grid.scheme.value,
-            "N": grid.N,
-            "s": grid.s,
-            "Q": grid.Q,
-        },
     )

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .special import jacobi_norm
+from .special import _wigner_d_blocks, jacobi_norm
 
 __all__ = [
     "SamplingScheme",
@@ -71,6 +71,26 @@ class SamplingGrid:
     @property
     def n_phi(self) -> int:
         return self.phi_nodes.size
+
+    def _d_blocks(self, s: int, orders, top: int) -> dict:
+        """Blocks of d^ell_{m,-s} over the grid's nodes, per order m in ``orders``.
+
+        Row i of block m holds ell = max(|m|, s) + i; each block reaches at
+        least ``top``.  Blocks are cached on the grid under (m, s); a request
+        beyond a cached block rebuilds that order to ``top``, in one
+        recursion pass over every such order.
+        """
+        tables = self._d_tables
+        out = {}
+        for m in map(int, orders):
+            block = tables.get((m, s))  # one read: another thread may replace it
+            if block is not None and max(abs(m), s) + len(block) > top:
+                out[m] = block
+        stale = sorted({int(m) for m in orders} - out.keys())
+        if stale:
+            for m, block in zip(stale, _wigner_d_blocks(stale, s, top, self.theta_nodes)):
+                tables[(m, s)] = out[m] = block
+        return out
 
 
 @dataclass(frozen=True)
@@ -185,13 +205,14 @@ def table_weights(grid: SamplingGrid) -> np.ndarray:
     return grid.theta_weights
 
 
-def validate_symmetry(grid: SamplingGrid, tol: float = 1e-12) -> SymmetryReport:
+def validate_symmetry(grid: SamplingGrid) -> SymmetryReport:
     """Check the mirror symmetry of the colatitude rule about pi/2.
 
-    True iff theta_p + theta_{n-1-p} = pi and the paired weights agree,
-    after discarding zero-weight nodes at theta = 0 (which act as their
-    own mirror).
+    True iff theta_p + theta_{n-1-p} = pi and the paired weights agree to
+    1e-12, after discarding zero-weight nodes at theta = 0 (which act as
+    their own mirror).
     """
+    tol = 1e-12
     keep = ~((np.abs(grid.theta_nodes) <= tol) & (np.abs(grid.theta_weights) <= tol))
     theta = grid.theta_nodes[keep]
     w = grid.theta_weights[keep]

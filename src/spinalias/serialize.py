@@ -85,25 +85,21 @@ def spectrum_table(spec):
     return header, rows
 
 
-def _build_spectrum(s, rows, origin):
+def _build_spectrum(rows, origin):
     if not rows:
         raise SpectrumFileError(f"{origin}: no spectrum rows")
     ells = [r[0] for r in rows]
     if ells != list(range(ells[0], ells[0] + len(ells))):
         raise SpectrumFileError(f"{origin}: multipoles must be consecutive")
-    if s is None:
-        s = ells[0]
-    elif s != ells[0]:
-        raise SpectrumFileError(f"{origin}: first multipole {ells[0]} != spin {s}")
     c_e = np.array([r[1] for r in rows])
     c_b = np.array([r[2] for r in rows])
     try:
-        return AngularPowerSpectrum(s=s, L_max=ells[-1], C_E=c_e, C_B=c_b)
+        return AngularPowerSpectrum(s=ells[0], L_max=ells[-1], C_E=c_e, C_B=c_b)
     except ValueError as exc:
         raise SpectrumFileError(f"{origin}: {exc}") from exc
 
 
-def load_spectrum_csv(path, s: int | None = None) -> AngularPowerSpectrum:
+def load_spectrum_csv(path) -> AngularPowerSpectrum:
     """Read an (ell, C_E, C_B) CSV table.
 
     Raises SpectrumFileError citing the offending row on malformed input.
@@ -129,10 +125,10 @@ def load_spectrum_csv(path, s: int | None = None) -> AngularPowerSpectrum:
         if c_e < 0 or c_b < 0:
             raise SpectrumFileError(f"{path}: row {lineno}: negative spectrum value")
         rows.append((ell, c_e, c_b))
-    return _build_spectrum(s, rows, str(path))
+    return _build_spectrum(rows, str(path))
 
 
-def load_spectrum_json(path, s: int | None = None) -> AngularPowerSpectrum:
+def load_spectrum_json(path) -> AngularPowerSpectrum:
     """Read a spectrum JSON document with ell / C_E / C_B arrays."""
     try:
         doc = json.loads(Path(path).read_text())
@@ -147,10 +143,10 @@ def load_spectrum_json(path, s: int | None = None) -> AngularPowerSpectrum:
         raise SpectrumFileError(f"{path}: missing or malformed columns ({exc})") from exc
     if not (len(ells) == len(c_e) == len(c_b)):
         raise SpectrumFileError(f"{path}: column length mismatch")
-    return _build_spectrum(s, list(zip(ells, c_e, c_b)), str(path))
+    return _build_spectrum(list(zip(ells, c_e, c_b)), str(path))
 
 
-def load_spectrum(path, s: int | None = None) -> AngularPowerSpectrum:
+def load_spectrum(path) -> AngularPowerSpectrum:
     if str(path).endswith(".json"):
-        return load_spectrum_json(path, s)
-    return load_spectrum_csv(path, s)
+        return load_spectrum_json(path)
+    return load_spectrum_csv(path)

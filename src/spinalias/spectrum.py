@@ -1,5 +1,5 @@
 """Angular power spectra, the squared-alias transfer factors, the aliased
-spectrum prediction and the band-limit exactness check.
+spectrum prediction and the circular covariance.
 """
 
 from __future__ import annotations
@@ -10,18 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _cross_sums, _d_at_nodes, _wraps
-from .sampling import SamplingGrid, build_grid_gauss
+from .aliasing import _cross_sums, _wraps
+from .sampling import SamplingGrid
 from .special import _wigner_d_blocks
 
 __all__ = [
     "AngularPowerSpectrum",
     "XiFactors",
-    "BandlimitReport",
     "xi_factors",
     "aliased_spectrum",
     "circular_covariance",
-    "verify_bandlimit",
 ]
 
 
@@ -54,10 +52,10 @@ class AngularPowerSpectrum:
         object.__setattr__(self, "C_B", cb)
 
     @classmethod
-    def flat(cls, s: int, L_max: int, total: float = 1.0) -> "AngularPowerSpectrum":
-        """Toy spectrum with constant total power per multipole."""
+    def flat(cls, s: int, L_max: int) -> "AngularPowerSpectrum":
+        """Toy spectrum with unit total power per multipole."""
         n = L_max - s + 1
-        half = np.full(n, total / 2.0)
+        half = np.full(n, 0.5)
         return cls(s=s, L_max=L_max, C_E=half, C_B=half.copy())
 
     @property
@@ -124,7 +122,7 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     out = np.zeros(len(ell_list))
     top = max(ell_list, default=-1)
     orders = {v for m in range(-top, top + 1) for _, v in _wraps(m, u_max, grid.Q)}
-    _d_at_nodes(grid, s, orders | set(range(-top, top + 1)), max(top, u_max))
+    grid._d_blocks(s, orders | set(range(-top, top + 1)), max(top, u_max))
     for m in range(-top, top + 1):
         rows = [k for k, ell in enumerate(ell_list) if ell >= abs(m)]
         for _, v in _wraps(m, u_max, grid.Q):
@@ -146,41 +144,3 @@ def circular_covariance(spec: AngularPowerSpectrum, theta_psi: float) -> float:
     (block,) = _wigner_d_blocks([-s], s, spec.L_max, [theta_psi])
     weights = (2 * np.arange(s, spec.L_max + 1) + 1) * spec.C_total / (4.0 * math.pi)
     return float(weights @ block[:, 0])
-
-
-@dataclass(frozen=True)
-class BandlimitReport:
-    L0: int
-    s: int
-    N: int
-    Q: int
-    seed: int
-    max_abs_error: float
-    tolerance: float
-    passed: bool
-
-
-def verify_bandlimit(
-    L0: int, s: int, N: int, Q: int, seed: int, tol: float = 1e-10
-) -> BandlimitReport:
-    """Round-trip check of the alias-free reconstruction guarantee.
-
-    Draws one random coefficient set band-limited at L0, synthesizes it
-    on the Gauss grid (N, s, Q), re-analyzes, and reports the largest
-    coefficient error.  Exact reconstruction needs enough colatitude
-    nodes (N - s > L0) and enough longitudes (Q > L0); failure is a
-    report outcome, not an exception.
-    """
-    from .fieldsim import analyze, sample_gaussian_coeffs, synthesize
-
-    if L0 < s:
-        raise ValueError(f"need L0 >= s, got L0={L0}, s={s}")
-    grid = build_grid_gauss(N, s, Q)
-    flat = AngularPowerSpectrum.flat(s, L0)
-    coeffs = sample_gaussian_coeffs(flat, L0, seed)
-    tilde = analyze(synthesize(coeffs, grid), s, L0)
-    max_err = float(np.abs(tilde.values - coeffs.values).max())
-    return BandlimitReport(
-        L0=L0, s=s, N=N, Q=Q, seed=seed,
-        max_abs_error=max_err, tolerance=tol, passed=max_err < tol,
-    )

@@ -311,3 +311,21 @@ class TestAliasedEB:
         a_e, a_b = aliased_eb(coeffs, gj_grid, 2, 0)
         assert abs(a_e) < 1e-14
         assert abs(a_b - 1.0j) < 1e-12
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["E", "B"])
+    def test_split_phase(self, s, m, sign):
+        # a_{ell,-m} = sign (-1)^(m+s) conj(a_{ell,m}) is pure E for sign +1
+        # and pure B for sign -1, on a grid that aliases nothing below 8
+        ell, phase = 4, sign * (-1) ** (m + s)
+        a = complex(0.6, -1.3)
+        if m == 0:
+            a = 0.5 * (a + phase * a.conjugate())
+        coeffs = SpinCoefficients.zeros(s, ell)
+        coeffs.set(ell, m, a)
+        coeffs.set(ell, -m, phase * a.conjugate())
+        a_e, a_b = aliased_eb(coeffs, build_grid_gauss(s + 8, s, 8), ell, m)
+        kept, dropped = (a_e, a_b) if sign == 1 else (a_b, a_e)
+        assert abs(kept - a) < 1e-12
+        assert abs(dropped) < 1e-12

@@ -1,0 +1,87 @@
+"""The package is a chain of layers: grid -> alias analysis -> field route.
+
+Each module imports only the layers below it, every import is a
+module-level statement, and the Wigner-d table cache is private to the
+grid.
+"""
+
+import ast
+from pathlib import Path
+
+import spinalias
+
+SRC = Path(spinalias.__file__).parent
+
+# each module may import only modules earlier in this chain
+CHAIN = ["special", "sampling", "aliasing", "spectrum", "fieldsim"]
+ALLOWED = {name: set(CHAIN[:i]) for i, name in enumerate(CHAIN)}
+ALLOWED["serialize"] = {"spectrum"}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _targets(node) -> list:
+    """Dotted names an import statement binds, relative ones under spinalias."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level == 0:
+        return [node.module]
+    base = ".".join(filter(None, ["spinalias", node.module]))
+    return [base] if node.module else [f"{base}.{alias.name}" for alias in node.names]
+
+
+def _internal_imports(tree) -> set:
+    """Package modules a module imports ("__init__" for the package itself)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for parts in (target.split(".") for target in _targets(node)):
+                if parts[0] == "spinalias":
+                    sub = parts[1] if len(parts) > 1 else "__init__"
+                    out.add(sub if (SRC / f"{sub}.py").exists() else "__init__")
+    return out
+
+
+def test_imports_are_module_level():
+    nested = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == []
+
+
+def test_layers_import_only_lower_layers():
+    imports = {name: _internal_imports(tree) for name, tree in _trees().items()}
+    bad = {
+        name: sorted(imports[name] - allowed)
+        for name, allowed in ALLOWED.items()
+        if imports[name] - allowed
+    }
+    assert bad == {}
+
+
+def test_no_import_cycle():
+    graph = {name: _internal_imports(tree) for name, tree in _trees().items()}
+    done, active = set(), []
+
+    def visit(name):
+        assert name not in active, " -> ".join(active + [name])
+        if name in done:
+            return
+        active.append(name)
+        for dep in sorted(graph.get(name, ())):
+            visit(dep)
+        active.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def test_only_the_grid_touches_its_tables():
+    touching = sorted(p.name for p in SRC.glob("*.py") if "_d_tables" in p.read_text())
+    assert touching == ["sampling.py"]
