@@ -83,16 +83,38 @@ def h_q(m: int, v: int, Q: int) -> complex:
     return complex(2.0 * math.pi) if (v - m) % (2 * Q) == 0 else 0.0j
 
 
-def _rows(block: np.ndarray, order: int, s: int, degs) -> np.ndarray:
-    """Rows of an order's block for the degrees ``degs``."""
-    return block[np.asarray(degs, dtype=int) - max(abs(order), s)]
+def _parity(degs, s: int) -> np.ndarray:
+    """(-1)^(deg+s) per degree: the row signs of a negative order."""
+    return 1.0 - 2.0 * ((np.asarray(degs) + s) % 2)
+
+
+def _weighted_rows(grid: SamplingGrid, s: int, m: int, ells, v: int) -> np.ndarray:
+    """Rows W * d^ell_{m,-s} arranged to meet the forward rows of order |v|.
+
+    Order -k reads the block of order k reversed with the row signs of
+    :func:`_parity`, which are left to the caller.  A reversal of the v
+    rows moves onto these rows and the weights, so the (large) v block is
+    never copied: sum_i W_i A_i B_(n-1-i) = sum_i W_(n-1-i) A_(n-1-i) B_i.
+    """
+    ells = np.asarray(ells, dtype=int)
+    k = abs(m)
+    rows = grid._d_blocks(s, [k], int(ells.max(initial=0)))[k][ells - max(k, s)]
+    if (m < 0) != (v < 0):
+        rows = rows[:, ::-1]
+    return rows * (grid._weights[::-1] if v < 0 else grid._weights)
 
 
 def _cross_sums(grid: SamplingGrid, s: int, m: int, ells, v: int, us) -> np.ndarray:
     """The cross sums I of :func:`i_n` for rows ell in ``ells``, columns u in ``us``."""
-    d_m = grid._d_blocks(s, [m], max(ells, default=0))[m]
-    d_v = grid._d_blocks(s, [v], max(us, default=0))[v]
-    return (_rows(d_m, m, s, ells) * grid.theta_weights) @ _rows(d_v, v, s, us).T
+    us = np.asarray(us, dtype=int)
+    k = abs(v)
+    d_v = grid._d_blocks(s, [k], int(us.max(initial=0)))[k][us - max(k, s)]
+    out = _weighted_rows(grid, s, m, ells, v) @ d_v.T
+    if m < 0:
+        out *= _parity(ells, s)[:, None]
+    if v < 0:
+        out *= _parity(us, s)
+    return out
 
 
 def _wraps(m: int, u_max: int, Q: int) -> list:
@@ -149,7 +171,7 @@ def enumerate_aliases(
         raise ValueError(f"need u_max >= ell, got u_max={u_max}, ell={source.ell}")
     ell, m, s = source.ell, source.m, source.s
     wraps = _wraps(m, u_max, grid.Q)  # r = 0 gives the source order itself
-    grid._d_blocks(s, [v for _, v in wraps], u_max)
+    grid._d_blocks(s, {abs(v) for _, v in wraps}, u_max)
     entries = []
     for r, v in wraps:
         us = range(max(abs(v), s), u_max + 1)

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 from . import __version__
 from .aliasing import enumerate_aliases, tau
@@ -176,7 +177,12 @@ def _cmd_spectrum_alias(args) -> int:
     l_max = args.lmax if args.lmax is not None else spec.L_max
     u_max = args.umax if args.umax is not None else spec.L_max
     ells = list(range(args.s, l_max + 1))
-    predicted = aliased_spectrum(grid, spec, ells, u_max=u_max)
+    # print only the messages, so stderr does not depend on the install path
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        predicted = aliased_spectrum(grid, spec, ells, u_max=u_max)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     rows = []
     for ell, c_tilde in zip(ells, predicted):
         c_in = spec.total_at(ell)

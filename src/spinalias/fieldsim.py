@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum
+from .aliasing import _parity
 from .sampling import SamplingGrid, build_grid_gauss
 from .special import HarmonicIndex
 
@@ -99,31 +100,39 @@ def _norm_consts(L: int, s: int) -> np.ndarray:
     return np.sqrt((2 * np.arange(L + 1) + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
 
 
-def _theta_profiles(coeffs: SpinCoefficients, grid: SamplingGrid) -> np.ndarray:
-    """G[m+L, p] = sum_ell a_{ell,m} c_ell d^ell_{m,-s}(theta_p)."""
-    L, s = coeffs.L_max, coeffs.s
-    out = np.zeros((2 * L + 1, grid.n_theta), dtype=complex)
+def _order_scales(L: int, s: int):
+    """Per ell, c_ell for orders m >= 0 and (-1)^(ell+s) c_ell for orders m < 0."""
     norms = _norm_consts(L, s)
-    # only the orders that carry a coefficient get a table
-    orders = np.flatnonzero(coeffs.values.any(axis=0)) - L
-    for m, block in grid._d_blocks(s, orders, L).items():
-        l0 = max(abs(m), s)
-        a = coeffs.values[l0:, m + L] * norms[l0:]
-        rows = block[: L + 1 - l0]
-        out[m + L] = a.real @ rows + 1j * (a.imag @ rows)
-    return out
+    return norms, norms * _parity(np.arange(L + 1), s)
 
 
 def synthesize(coeffs: SpinCoefficients, grid: SamplingGrid) -> FieldSamples:
     """Evaluate sum_{ell,m} a_{ell,m;s} Y_{ell,m;s} on the grid nodes.
 
-    The phase factor exp(i*m*phi) is separated from the colatitude part,
-    so each theta row is a short Fourier sum over the 2Q longitudes.
+    The colatitude part is one product per order pair +-m with the order
+    |m| block on the grid's mirror-closed nodes: order -m is that block
+    reversed, with sign (-1)^(ell+s) per row.  The longitudes are a
+    length-2Q inverse FFT; orders equal mod 2Q share a bin.
     """
-    L = coeffs.L_max
-    profiles = _theta_profiles(coeffs, grid)
-    phases = np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi_nodes))
-    values = profiles.T @ phases
+    L, s, two_q = coeffs.L_max, coeffs.s, 2 * grid.Q
+    # only the orders that carry a coefficient get a table
+    carried = coeffs.values.any(axis=0)
+    orders = np.flatnonzero(carried[L:] | carried[L::-1])
+    blocks = grid._d_blocks(s, orders, L)
+    # pos/neg[i, ell] = (re, im) of the scaled coefficients of orders +-orders[i]
+    pos_scale, neg_scale = _order_scales(L, s)
+    pos = (coeffs.values.T[L + orders] * pos_scale).view(float).reshape(orders.size, L + 1, 2)
+    neg = (coeffs.values.T[L - orders] * neg_scale).view(float).reshape(orders.size, L + 1, 2)
+    # bins[m mod 2Q, i] = (re, im) of the order-m profile at node i of grid._nodes
+    bins = np.zeros((two_q, grid._nodes.size, 2))
+    for i, m in enumerate(orders.tolist()):
+        l0 = max(m, s)
+        profiles = np.concatenate([pos[i, l0:], neg[i, l0:]], axis=1).T @ blocks[m][: L + 1 - l0]
+        bins[m % two_q] += profiles[:2].T
+        if m:
+            bins[-m % two_q, ::-1] += profiles[2:].T
+    field = bins.view(complex)[:, grid._near, 0]
+    values = two_q * np.fft.ifft(field, axis=0).T
     return FieldSamples(grid=grid, values=values)
 
 
@@ -140,13 +149,21 @@ def sample_gaussian_coeffs(spec, L0: int, seed) -> SpinCoefficients:
     rng = np.random.default_rng(seed)
     s = spec.s
     out = SpinCoefficients.zeros(s, L0)
-    for ell in range(s, L0 + 1):
-        n_m = 2 * ell + 1
-        scale_e = math.sqrt(spec.C_E[ell - s] / 2.0)
-        scale_b = math.sqrt(spec.C_B[ell - s] / 2.0)
-        ge = scale_e * (rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m))
-        gb = scale_b * (rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m))
-        out.values[ell, L0 - ell : L0 + ell + 1] = ge + 1j * gb
+    ells = np.arange(s, L0 + 1)
+    sizes = 2 * ells + 1
+    starts = np.cumsum(sizes) - sizes
+    # one draw, read per ell as E re, E im, B re, B im, each 2*ell+1 long
+    z = rng.standard_normal(4 * int(sizes.sum()))
+    ell = np.repeat(ells, sizes)
+    slot = np.arange(ell.size) - np.repeat(starts, sizes)
+    pos = np.repeat(4 * starts, sizes) + slot
+    size = np.repeat(sizes, sizes)
+    e_re, e_im, b_re, b_im = (z[pos + k * size] for k in range(4))
+    scale_e = np.sqrt(spec.C_E[ell - s] / 2.0)
+    scale_b = np.sqrt(spec.C_B[ell - s] / 2.0)
+    ge = scale_e * (e_re + 1j * e_im)
+    gb = scale_b * (b_re + 1j * b_im)
+    out.values[ell, L0 - ell + slot] = ge + 1j * gb
     return out
 
 
@@ -160,16 +177,28 @@ def analyze(fieldsamples: FieldSamples, s: int, L_max: int) -> SpinCoefficients:
     grid = fieldsamples.grid
     if fieldsamples.values.shape != (grid.n_theta, grid.n_phi):
         raise ValueError("field shape does not match grid")
-    out = SpinCoefficients.zeros(s, L_max)
-    # F[m+L, p] = sum_q w_q T(theta_p, phi_q) exp(-i m phi_q)
-    L = L_max
-    phases = np.exp(-1j * np.outer(np.arange(-L, L + 1), grid.phi_nodes))
-    f_rows = (phases * grid.phi_weights) @ fieldsamples.values.T
-    norms = _norm_consts(L, s)
-    for m, block in grid._d_blocks(s, range(-L, L + 1), L).items():
-        l0 = max(abs(m), s)
-        f, rows = f_rows[m + L] * grid.theta_weights, block[: L + 1 - l0]
-        out.values[l0:, m + L] = norms[l0:] * (rows @ f.real + 1j * (rows @ f.imag))
+    L, two_q = L_max, 2 * grid.Q
+    out = SpinCoefficients.zeros(s, L)
+    # w_p F[p, m mod 2Q] with F = sum_q w_q T(theta_p, phi_q) exp(-i m phi_q),
+    # summed onto the mirror-closed nodes (a flat add.at is numpy's fast path)
+    weighted = np.fft.fft(fieldsamples.values, axis=1)
+    weighted *= grid.phi_weights[0] * grid.theta_weights[:, None]
+    on_nodes = np.zeros((grid._nodes.size, two_q), dtype=complex)
+    slots = grid._near[:, None] * two_q + np.arange(two_q)
+    np.add.at(on_nodes.reshape(-1), slots.ravel(), weighted.ravel())
+    # cols[b] = (re, im) of bin b, then of bin -b reversed: the columns of orders +-m
+    fwd = on_nodes.T
+    bwd = fwd[-np.arange(two_q) % two_q, ::-1]
+    cols = np.stack([fwd.real, fwd.imag, bwd.real, bwd.imag], axis=2)
+    signed = out.values.view(float).reshape(L + 1, 2 * L + 1, 2)
+    for m, block in grid._d_blocks(s, range(L + 1), L).items():
+        l0 = max(m, s)
+        sums = block[: L + 1 - l0] @ cols[m % two_q]
+        signed[l0:, L - m] = sums[:, 2:]
+        signed[l0:, L + m] = sums[:, :2]
+    pos_scale, neg_scale = _order_scales(L, s)
+    out.values[:, L:] *= pos_scale[:, None]
+    out.values[:, :L] *= neg_scale[:, None]
     return out
 
 

@@ -35,13 +35,25 @@ class SamplingGrid:
     ``theta_weights`` are measure weights for both schemes:
     sum_p w_p f(theta_p) approximates int_0^pi f(theta) sin(theta) d(theta).
     ``phi_weights`` are the uniform trapezoidal weights pi/Q.  Arrays are
-    read-only.  The grid also owns the Wigner-d tables evaluated on its
-    nodes: one block of rows d^ell_{m,-s}, ell = max(|m|, s) .. top, per
-    (order m, spin s), built for the orders and the top degree a call
-    asks for and freed with the grid.  Grids are safe to share across
-    threads: two threads may both build a missing block, and a longer
-    block may replace a shorter one, but readers always see a complete,
-    read-only array.
+    read-only; the longitude rule must be phi_q = pi q / Q, q < 2Q, with
+    weights pi/Q.
+
+    The grid also owns the Wigner-d tables.  They live on ``_nodes``, the
+    sorted node set closed under theta -> pi - theta: the grid's nodes
+    plus the mirror of every node without one within 1e-12.  Node p is
+    ``_nodes[_near[p]]``, and ``_weights`` carries the measure weights
+    over to ``_nodes`` (zero on added mirrors).  Reflection is index
+    reversal, so with
+
+        d^ell_{-m,-s}(theta) = (-1)^(ell+s) d^ell_{m,-s}(pi - theta)
+
+    order -m reads the reversed block of order m, and only orders
+    m >= 0 are stored: one block of rows d^ell_{m,-s},
+    ell = max(m, s) .. top, per (m, s), built for the orders and the top
+    degree a call asks for and freed with the grid.  Grids are safe to
+    share across threads: two threads may both build a missing block,
+    and a longer block may replace a shorter one, but readers always see
+    a complete, read-only array.
     """
 
     scheme: SamplingScheme
@@ -52,6 +64,9 @@ class SamplingGrid:
     theta_weights: np.ndarray
     phi_nodes: np.ndarray
     phi_weights: np.ndarray
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _near: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _d_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -63,6 +78,16 @@ class SamplingGrid:
             raise ValueError("theta nodes/weights length mismatch")
         if self.phi_nodes.shape != self.phi_weights.shape:
             raise ValueError("phi nodes/weights length mismatch")
+        # the transforms read the longitude sums as a length-2Q FFT
+        phi, w_phi = _phi_rule(self.Q)
+        if self.phi_nodes.shape != phi.shape or max(
+            np.abs(self.phi_nodes - phi).max(), np.abs(self.phi_weights - w_phi).max()
+        ) > 1e-12:
+            raise ValueError("longitude rule must be phi_q = pi*q/Q, q < 2Q, with weights pi/Q")
+        nodes, near, weights = _mirror_closed(self.theta_nodes, self.theta_weights)
+        for name, arr in (("_nodes", nodes), ("_near", near), ("_weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_theta(self) -> int:
@@ -73,9 +98,9 @@ class SamplingGrid:
         return self.phi_nodes.size
 
     def _d_blocks(self, s: int, orders, top: int) -> dict:
-        """Blocks of d^ell_{m,-s} over the grid's nodes, per order m in ``orders``.
+        """Blocks of d^ell_{m,-s} over ``_nodes``, per order m >= 0 in ``orders``.
 
-        Row i of block m holds ell = max(|m|, s) + i; each block reaches at
+        Row i of block m holds ell = max(m, s) + i; each block reaches at
         least ``top``.  Blocks are cached on the grid under (m, s); a request
         beyond a cached block rebuilds that order to ``top``, in one
         recursion pass over every such order.
@@ -84,13 +109,34 @@ class SamplingGrid:
         out = {}
         for m in map(int, orders):
             block = tables.get((m, s))  # one read: another thread may replace it
-            if block is not None and max(abs(m), s) + len(block) > top:
+            if block is not None and max(m, s) + len(block) > top:
                 out[m] = block
         stale = sorted({int(m) for m in orders} - out.keys())
         if stale:
-            for m, block in zip(stale, _wigner_d_blocks(stale, s, top, self.theta_nodes)):
+            for m, block in zip(stale, _wigner_d_blocks(stale, s, top, self._nodes)):
                 tables[(m, s)] = out[m] = block
         return out
+
+
+def _mirror_closed(theta: np.ndarray, weights: np.ndarray):
+    """Sorted nodes closed under theta -> pi - theta, with each node's index.
+
+    Nodes are folded onto [0, pi/2] and merged within 1e-12; the lower
+    half is the folded set and the upper half its exact mirror, so index
+    reversal is reflection.  Returns (nodes, near, weights on nodes).
+    """
+    tol = 1e-12
+    fold = np.minimum(theta, math.pi - theta)
+    half = np.sort(fold)
+    half = half[np.diff(half, prepend=-1.0) > tol]
+    # a node at pi/2 is its own mirror and appears once
+    self_mirror = int(half.size > 0 and half[-1] >= math.pi / 2 - tol)
+    nodes = np.concatenate([half, math.pi - half[::-1][self_mirror:]])
+    k = np.searchsorted(half, fold + tol, side="right") - 1
+    near = np.where(theta > math.pi / 2, nodes.size - 1 - k, k)
+    on_nodes = np.zeros(nodes.size)
+    np.add.at(on_nodes, near, weights)
+    return nodes, near, on_nodes
 
 
 @dataclass(frozen=True)

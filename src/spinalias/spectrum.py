@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _cross_sums, _wraps
+from .aliasing import _cross_sums, _weighted_rows, _wraps
 from .sampling import SamplingGrid
 from .special import _wigner_d_blocks
 
@@ -121,14 +121,20 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     weight = np.array([(2 * u + 1) * spec.total_at(u) for u in range(s, u_max + 1)]) / 4.0
     out = np.zeros(len(ell_list))
     top = max(ell_list, default=-1)
-    orders = {v for m in range(-top, top + 1) for _, v in _wraps(m, u_max, grid.Q)}
-    grid._d_blocks(s, orders | set(range(-top, top + 1)), max(top, u_max))
-    for m in range(-top, top + 1):
-        rows = [k for k, ell in enumerate(ell_list) if ell >= abs(m)]
+    orders = {abs(v) for m in range(top + 1) for _, v in _wraps(m, u_max, grid.Q)}
+    grid._d_blocks(s, orders | set(range(top + 1)), max(top, u_max))
+    for m in range(top + 1):
+        rows = [k for k, ell in enumerate(ell_list) if ell >= m]
+        degs = [ell_list[k] for k in rows]
         for _, v in _wraps(m, u_max, grid.Q):
             lo = max(abs(v), s)
-            block = _cross_sums(grid, s, m, [ell_list[k] for k in rows], v, range(lo, u_max + 1))
-            out[rows] += block**2 @ weight[lo - s :]
+            d_v = grid._d_blocks(s, [abs(v)], u_max)[abs(v)][: u_max + 1 - lo]
+            # order -m meets wrap -v: the same sums up to sign, so one product serves both
+            pair = [_weighted_rows(grid, s, m, degs, v)]
+            if m:
+                pair.append(_weighted_rows(grid, s, -m, degs, -v))
+            squares = (np.vstack(pair) @ d_v.T) ** 2 @ weight[lo - s :]
+            out[rows] += squares.reshape(len(pair), len(rows)).sum(axis=0)
     return out.tolist()
 
 

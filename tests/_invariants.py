@@ -159,6 +159,25 @@ class CellOracle:
         ]
 
 
+def gaussian_coeffs_loop(spec, L0: int, seed) -> np.ndarray:
+    """Coefficient values drawn one ell at a time, E re, E im, B re, B im.
+
+    The per-ell draw loop that ``sample_gaussian_coeffs`` replaced with a
+    single draw; the two must agree bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    s = spec.s
+    out = np.zeros((L0 + 1, 2 * L0 + 1), dtype=complex)
+    for ell in range(s, L0 + 1):
+        n_m = 2 * ell + 1
+        scale_e = math.sqrt(spec.C_E[ell - s] / 2.0)
+        scale_b = math.sqrt(spec.C_B[ell - s] / 2.0)
+        ge = scale_e * (rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m))
+        gb = scale_b * (rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m))
+        out[ell, L0 - ell : L0 + ell + 1] = ge + 1j * gb
+    return out
+
+
 def wigner_parity_deviation(l_max=20, thetas=(0.2, 0.9, 1.7, 2.5)) -> float:
     """max |d^l_{m,-s}(pi - t) - (-1)^(l+s) d^l_{-m,-s}(t)| over the sweep."""
     worst = 0.0

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -212,6 +213,19 @@ class TestSpectrumAliasCommand:
                                          AngularPowerSpectrum.flat(2, 6), range(2, 7), u_max=4)
         col = header.index("C_tilde")
         assert [float(row[col]) for row in rows] == predicted
+
+    def test_warning_lines_carry_no_location(self, tmp_path):
+        # one "warning: <message>" line per warning, independent of the install path
+        spec_file = tmp_path / "flat.csv"
+        self._write_spectrum(spec_file, 2, [(l, 0.5, 0.5) for l in range(2, 7)])
+        code, out, err = run_cli("spectrum-alias", "--spectrum", str(spec_file),
+                                 "--N", "6", "--s", "2", "--Q", "1", "--umax", "4")
+        assert code == 0
+        lines = err.splitlines()
+        assert lines == [f"warning: u_max=4 may truncate aliases of ell={ell} "
+                         "(nearest wrap-around degrees extend past it)" for ell in range(2, 7)]
+        assert "cli.py" not in err
+        assert re.search(r":\d+", err) is None
 
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     def test_non_finite_exit_3(self, tmp_path, suffix):

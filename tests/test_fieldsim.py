@@ -21,6 +21,8 @@ from spinalias import (
     synthesize,
 )
 
+from _invariants import gaussian_coeffs_loop
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -190,6 +192,36 @@ class TestAnalyze:
         synthesize(coeffs, grid)
         assert list(grid._d_tables) == [(3, 2)]
         assert grid._d_tables[(3, 2)].shape == (38, grid.n_theta)
+
+    def test_negative_order_reads_its_mirror_table(self):
+        # order -3 is served by the table of order 3, read reversed
+        grid = build_grid_gauss(44, 2, 41)
+        coeffs = SpinCoefficients.zeros(2, 40)
+        coeffs.set(40, -3, 1.0)
+        synthesize(coeffs, grid)
+        assert list(grid._d_tables) == [(3, 2)]
+
+    def test_analysis_tables_are_orders_m_ge_0(self):
+        L0 = 48
+        grid = build_grid_gauss(L0 + 3, 2, L0 + 1)
+        coeffs = sample_gaussian_coeffs(AngularPowerSpectrum.flat(2, L0), L0, seed=2)
+        analyze(synthesize(coeffs, grid), 2, L0)
+        assert set(grid._d_tables) == {(m, 2) for m in range(L0 + 1)}
+
+
+class TestDraw:
+    @pytest.mark.parametrize("s", [0, 2, 3])
+    def test_single_draw_matches_per_ell_loop(self, s):
+        # spectra with zero entries, int and SeedSequence seeds, L0 from s up
+        rng = np.random.default_rng(s)
+        c_e, c_b = rng.random(97 - s), rng.random(97 - s)
+        c_e[::3] = 0.0
+        c_b[1::4] = 0.0
+        spec = AngularPowerSpectrum(s, 96, c_e, c_b)
+        for L0 in (s, 8, 96):
+            for seed in (0, 12345, np.random.SeedSequence(7).spawn(2)[1]):
+                drawn = sample_gaussian_coeffs(spec, L0, seed).values
+                assert drawn.tobytes() == gaussian_coeffs_loop(spec, L0, seed).tobytes()
 
 
 class TestMonteCarlo:

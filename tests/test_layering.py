@@ -6,6 +6,8 @@ grid.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import spinalias
@@ -85,3 +87,16 @@ def test_no_import_cycle():
 def test_only_the_grid_touches_its_tables():
     touching = sorted(p.name for p in SRC.glob("*.py") if "_d_tables" in p.read_text())
     assert touching == ["sampling.py"]
+
+
+def test_import_loads_no_fft_and_no_scipy():
+    # numpy loads numpy.fft lazily; the transforms reach it at call time
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spinalias; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+         "or m.startswith('numpy.fft')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

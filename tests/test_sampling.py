@@ -176,6 +176,23 @@ class TestLongitudeExactness:
             target = 2 * math.pi if k % (2 * Q) == 0 else 0.0
             assert abs(val - target) < 1e-12
 
+    @pytest.mark.parametrize("change", ["shifted", "weights", "count", "Q"])
+    def test_other_longitude_rules_rejected(self, change):
+        # the transforms read the longitude sums as a length-2Q FFT
+        Q = 3
+        phi, w_phi = np.arange(2 * Q) * math.pi / Q, np.full(2 * Q, math.pi / Q)
+        if change == "shifted":
+            phi = phi + 0.1
+        elif change == "weights":
+            w_phi = w_phi * np.linspace(0.5, 1.5, 2 * Q)
+        elif change == "count":
+            phi, w_phi = phi[:-1], w_phi[:-1]
+        else:
+            Q = 2
+        with pytest.raises(ValueError):
+            SamplingGrid(SamplingScheme.GAUSS_JACOBI, 4, 2, Q, np.array([0.5, 1.0]),
+                         np.array([1.0, 1.0]), phi, w_phi)
+
 
 class TestValidateSymmetry:
     def test_gauss_grid_symmetric(self):
