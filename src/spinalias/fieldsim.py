@@ -119,19 +119,20 @@ def synthesize(coeffs: SpinCoefficients, grid: SamplingGrid) -> FieldSamples:
     carried = coeffs.values.any(axis=0)
     orders = np.flatnonzero(carried[L:] | carried[L::-1])
     blocks = grid._d_blocks(s, orders, L)
-    # pos/neg[i, ell] = (re, im) of the scaled coefficients of orders +-orders[i]
+    # rows[i] = re, im of the scaled coefficients of order orders[i], then of its negative
     pos_scale, neg_scale = _order_scales(L, s)
-    pos = (coeffs.values.T[L + orders] * pos_scale).view(float).reshape(orders.size, L + 1, 2)
-    neg = (coeffs.values.T[L - orders] * neg_scale).view(float).reshape(orders.size, L + 1, 2)
-    # bins[m mod 2Q, i] = (re, im) of the order-m profile at node i of grid._nodes
-    bins = np.zeros((two_q, grid._nodes.size, 2))
+    pos = coeffs.values.T[L + orders] * pos_scale
+    neg = coeffs.values.T[L - orders] * neg_scale
+    rows = np.stack([pos.real, pos.imag, neg.real, neg.imag], axis=1)
+    # bins[m mod 2Q, re/im] = the order-m profile over grid._nodes
+    bins = np.zeros((two_q, 2, grid._nodes.size))
     for i, m in enumerate(orders.tolist()):
         l0 = max(m, s)
-        profiles = np.concatenate([pos[i, l0:], neg[i, l0:]], axis=1).T @ blocks[m][: L + 1 - l0]
-        bins[m % two_q] += profiles[:2].T
+        profiles = rows[i, :, l0:] @ blocks[m][: L + 1 - l0]
+        bins[m % two_q] += profiles[:2]
         if m:
-            bins[-m % two_q, ::-1] += profiles[2:].T
-    field = bins.view(complex)[:, grid._near, 0]
+            bins[-m % two_q, :, ::-1] += profiles[2:]
+    field = bins[:, 0, grid._near] + 1j * bins[:, 1, grid._near]
     values = two_q * np.fft.ifft(field, axis=0).T
     return FieldSamples(grid=grid, values=values)
 
@@ -156,9 +157,9 @@ def sample_gaussian_coeffs(spec, L0: int, seed) -> SpinCoefficients:
     z = rng.standard_normal(4 * int(sizes.sum()))
     ell = np.repeat(ells, sizes)
     slot = np.arange(ell.size) - np.repeat(starts, sizes)
-    pos = np.repeat(4 * starts, sizes) + slot
+    at = np.repeat(4 * starts, sizes) + slot
     size = np.repeat(sizes, sizes)
-    e_re, e_im, b_re, b_im = (z[pos + k * size] for k in range(4))
+    e_re, e_im, b_re, b_im = (z[at + k * size] for k in range(4))
     scale_e = np.sqrt(spec.C_E[ell - s] / 2.0)
     scale_b = np.sqrt(spec.C_B[ell - s] / 2.0)
     ge = scale_e * (e_re + 1j * e_im)
@@ -172,7 +173,9 @@ def analyze(fieldsamples: FieldSamples, s: int, L_max: int) -> SpinCoefficients:
 
     a~_{ell,m} = sum_k w_k T(theta_k, phi_k) conj(Y_{ell,m;s}(theta_k, phi_k))
     with separable weights w_k = w_p^(theta) w_q^(phi), w_p the measure
-    weights, evaluated one longitude row and one order at a time.
+    weights: one length-2Q FFT over the longitudes, then one product per
+    order pair +-m with the order |m| block on the grid's mirror-closed
+    nodes, the -m columns reversed.
     """
     grid = fieldsamples.grid
     if fieldsamples.values.shape != (grid.n_theta, grid.n_phi):
