@@ -95,15 +95,14 @@ class FieldSamples:
             raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
 
 
-def _norm_consts(L: int, s: int) -> np.ndarray:
-    """sqrt((2 ell + 1) / (4 pi)) (-1)^s for ell = 0 .. L."""
-    return np.sqrt((2 * np.arange(L + 1) + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
-
-
 def _order_scales(L: int, s: int):
-    """Per ell, c_ell for orders m >= 0 and (-1)^(ell+s) c_ell for orders m < 0."""
-    norms = _norm_consts(L, s)
-    return norms, norms * _parity(np.arange(L + 1), s)
+    """Per-degree factors of the orders m >= 0 and m < 0, ell = 0 .. L.
+
+    c_ell = sqrt((2 ell + 1) / (4 pi)) (-1)^s and (-1)^(ell+s) c_ell.
+    """
+    ells = np.arange(L + 1)
+    norms = np.sqrt((2 * ells + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
+    return norms, norms * _parity(ells, s)
 
 
 def synthesize(coeffs: SpinCoefficients, grid: SamplingGrid) -> FieldSamples:
