@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinalias import (
+    FieldSamples,
     SpinCoefficients,
+    analyze,
     build_grid_equiangular,
     build_grid_gauss,
     i_n,
@@ -43,7 +45,7 @@ def grids(draw, s: int, Q: int = 1, symmetric_only: bool = False):
 
     The asymmetric ones are the grid of
     test_sampling.py::TestValidateSymmetry::test_asymmetric_grid_rejected
-    and a random one.
+    and a random one, which may repeat a colatitude.
     """
     kinds = ["gauss", "equiangular"] + ([] if symmetric_only else ["fixed", "random"])
     kind = draw(st.sampled_from(kinds))
@@ -55,7 +57,10 @@ def grids(draw, s: int, Q: int = 1, symmetric_only: bool = False):
         return _custom_grid([0.5, 1.0], [1.0, 1.0], Q)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 12))
-    return _custom_grid(np.sort(rng.uniform(0.0, math.pi, n)), rng.uniform(0.1, 1.0, n), Q)
+    theta = rng.uniform(0.0, math.pi, n)
+    if draw(st.booleans()):
+        theta = np.append(theta, theta[0])
+    return _custom_grid(np.sort(theta), rng.uniform(0.1, 1.0, theta.size), Q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,8 +72,9 @@ def test_node_set_is_mirror_closed(s, data):
     assert np.all(np.diff(nodes) > 0)
     assert np.abs(nodes + nodes[::-1] - math.pi).max() <= 1e-15
     assert np.abs(nodes[grid._near] - theta).max() <= 1e-12
-    assert np.abs(grid._weights[grid._near] - grid.theta_weights).max() == 0.0
-    assert not np.delete(grid._weights, grid._near).any()
+    # each node's weight lands on its point; added mirrors carry none
+    summed = np.bincount(grid._near, grid.theta_weights, minlength=nodes.size)
+    assert np.abs(grid._weights - summed).max() <= 1e-15
     if grid.scheme is SamplingScheme.EQUIANGULAR:
         assert nodes.size == theta.size + 1 and nodes[-1] == math.pi
     elif validate_symmetry(grid).symmetric:
@@ -117,6 +123,25 @@ def test_synthesize_equals_dense_sum(data):
     dense = sum(coeffs.get(ell, m) * spin_sph_harm(ell, m, s, theta, phi)
                 for ell, m in coeffs.indices() if coeffs.get(ell, m))
     assert np.abs(synthesize(coeffs, grid).values - dense).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_analyze_equals_dense_quadrature(data):
+    # w_p w_q T conj(Y) summed node by node; repeated colatitudes share a point
+    s = data.draw(st.integers(0, 3), label="s")
+    L = data.draw(st.integers(s, 12), label="L")
+    Q = data.draw(st.integers(1, 8), label="Q")
+    grid = data.draw(grids(s, Q), label="grid")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (grid.n_theta, grid.n_phi)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tilde = analyze(FieldSamples(grid, values), s, L)
+    theta, phi = grid.theta_nodes[:, None], grid.phi_nodes[None, :]
+    weighted = grid.theta_weights[:, None] * grid.phi_weights[None, :] * values
+    for ell, m in tilde.indices():
+        dense = (weighted * np.conj(spin_sph_harm(ell, m, s, theta, phi))).sum()
+        assert abs(tilde.get(ell, m) - dense) <= 1e-12
 
 
 @st.composite
