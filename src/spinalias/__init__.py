@@ -38,8 +38,6 @@ from .sampling import (
 )
 from .special import (
     HarmonicIndex,
-    jacobi,
-    jacobi_norm,
     spin_sph_harm,
     wigner_d,
 )
@@ -78,8 +76,6 @@ __all__ = [
     "gauss_nodes",
     "h_q",
     "i_n",
-    "jacobi",
-    "jacobi_norm",
     "monte_carlo_spectrum",
     "sample_gaussian_coeffs",
     "spin_sph_harm",

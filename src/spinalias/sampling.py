@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .special import _wigner_d_blocks, jacobi_norm
+from .special import _wigner_d_blocks
 
 __all__ = [
     "SamplingScheme",
@@ -188,8 +188,9 @@ def gauss_nodes(n: int, alpha: float = 0.0, beta: float = 0.0):
     else:
         off = np.empty(0)
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    # total mass of the weight function: 2^(ab+1) B(alpha+1, beta+1)
-    mu0 = jacobi_norm(0, alpha, beta)
+    # total mass of the weight function: 2^(ab+1) G(alpha+1) G(beta+1) / G(ab+2)
+    mu0 = math.exp((ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                   + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
     # eigh returns the eigenvalues, here the nodes, in increasing order
     return nodes, mu0 * vecs[0, :] ** 2
 

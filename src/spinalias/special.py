@@ -1,6 +1,6 @@
-"""Scalar kernels: Jacobi polynomials, Wigner small-d matrices and
-spin-weighted spherical harmonics, plus the private block kernel that
-builds whole orders of Wigner-d rows on a set of nodes.
+"""Scalar kernels: Wigner small-d matrices and spin-weighted spherical
+harmonics, both read from the private block kernel that builds whole
+orders of Wigner-d rows on a set of nodes.
 
 All public functions accept scalar or ndarray angular arguments and
 evaluate elementwise.  Everything here is pure and thread-safe.
@@ -15,13 +15,10 @@ import numpy as np
 
 __all__ = [
     "HarmonicIndex",
-    "jacobi",
-    "jacobi_norm",
     "wigner_d",
     "spin_sph_harm",
 ]
 
-_T_TOL = 1e-12
 _THETA_TOL = 1e-9
 
 
@@ -42,55 +39,6 @@ class HarmonicIndex:
             )
 
 
-def jacobi(nu: int, alpha: float, beta: float, t):
-    """Evaluate the Jacobi polynomial P_nu^(alpha, beta) at t in [-1, 1].
-
-    Uses the standard three-term recurrence in the degree, which is exact
-    for nu = 0, 1 and stable for alpha, beta > -1 and non-negative integer
-    parameters.
-    """
-    if nu < 0:
-        raise ValueError(f"degree must be >= 0, got nu={nu}")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + _T_TOL):
-        raise ValueError("argument outside [-1, 1]")
-    p_prev = np.ones_like(t)
-    if nu == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = (alpha + 1.0) + (alpha + beta + 2.0) * (t - 1.0) / 2.0
-    for k in range(2, nu + 1):
-        c1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
-        c2 = (2.0 * k + alpha + beta - 1.0) * (
-            (2.0 * k + alpha + beta) * (2.0 * k + alpha + beta - 2.0) * t
-            + alpha * alpha
-            - beta * beta
-        )
-        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
-        p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
-    return p_cur if p_cur.ndim else float(p_cur)
-
-
-def jacobi_norm(nu: int, alpha: float, beta: float) -> float:
-    """Squared weighted L2 norm of P_nu^(alpha, beta) on [-1, 1].
-
-    Returns the constant Lambda such that the polynomials of equal
-    parameters integrate against the weight (1-t)^alpha (1+t)^beta to
-    Lambda on the diagonal and 0 off it.
-    """
-    if nu < 0:
-        raise ValueError(f"degree must be >= 0, got nu={nu}")
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError(f"need alpha, beta > -1, got ({alpha}, {beta})")
-    log_val = (
-        (alpha + beta + 1.0) * math.log(2.0)
-        + math.lgamma(nu + alpha + 1.0)
-        + math.lgamma(nu + beta + 1.0)
-        - math.lgamma(nu + 1.0)
-        - math.lgamma(nu + alpha + beta + 1.0)
-    )
-    return math.exp(log_val) / (2.0 * nu + alpha + beta + 1.0)
-
-
 def _check_theta(theta):
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < -_THETA_TOL) or np.any(theta > math.pi + _THETA_TOL):
@@ -101,41 +49,18 @@ def _check_theta(theta):
 def wigner_d(ell: int, m: int, s: int, theta):
     """Wigner small-d element d^ell_{m,-s}(theta).
 
-    Evaluated through the symmetry-reduced Jacobi representation with
-    non-negative polynomial parameters a = |m+s|, b = |m-s| and degree
-    ell - max(|m|, |s|); the sign is fixed so that the result agrees with
-    the half-angle product formula on the quadrant m+s >= 0, m-s >= 0.
-    Accepts any integer spin (s may be negative).
+    The last row of the order-m block of ``_wigner_d_blocks`` run up to
+    ``ell``.  Accepts any integer spin: a negative s reads
+    d^ell_{m,-s} = (-1)^(m+s) d^ell_{-m,s}.
     """
     if ell < max(abs(m), abs(s)):
         raise ValueError(f"need ell >= max(|m|, |s|): got ({ell}, {m}, {s})")
-    theta = _check_theta(theta)
-    m2 = -s
-    k = min(ell + m, ell - m, ell + m2, ell - m2)
-    if k == ell + m:
-        a, lam = m2 - m, m2 - m
-    elif k == ell - m:
-        a, lam = m - m2, 0
-    elif k == ell + m2:
-        a, lam = m - m2, 0
-    else:
-        a, lam = m2 - m, m2 - m
-    b = 2 * ell - 2 * k - a
-    # prefactor sqrt( C(2*ell-k, k+a) / C(k+b, b) ), via log-gamma
-    log_pref = 0.5 * (
-        math.lgamma(2 * ell - k + 1)
-        - math.lgamma(k + a + 1)
-        - math.lgamma(k + b + 1)
-        + math.lgamma(k + 1)
-    )
-    sign = -1.0 if lam % 2 else 1.0
-    half = 0.5 * theta
-    # the prefactor overflows alone for ell > ~1030; a = 0 keeps sin^0(0) = 1
-    with np.errstate(divide="ignore"):
-        log_sin = a * np.log(np.sin(half)) if a else 0.0
-    log_val = log_pref + log_sin + b * np.log(np.cos(half))
-    val = sign * np.exp(log_val) * jacobi(k, float(a), float(b), np.cos(theta))
-    val = np.asarray(val)
+    sign = 1.0
+    if s < 0:
+        sign, m, s = (-1.0) ** (m + s), -m, -s
+    theta = np.asarray(theta, dtype=float)
+    (block,) = _wigner_d_blocks([m], s, ell, theta)
+    val = sign * block[-1].reshape(theta.shape)
     return val if val.ndim else float(val)
 
 

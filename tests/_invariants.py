@@ -2,10 +2,12 @@
 acceptance gate.
 
 Each sweep returns the worst deviation found so the callers can assert
-against the stated tolerance.  The oracles are independent routes to
-library results (term-by-term phase sums, the derivative weight
-formula, mirror-folded and cell-by-cell colatitude sums) and share no
-code with the paths they check.
+against the stated tolerance; the Wigner-d sweeps take the evaluator they
+check as an argument.  The oracles are independent routes to library
+results (the Jacobi form of the Wigner-d elements, term-by-term phase
+sums, the derivative weight formula, mirror-folded and cell-by-cell
+colatitude sums) and share no code with the paths they check: nothing
+here imports the library's Wigner-d evaluators.
 """
 
 import math
@@ -21,14 +23,122 @@ from spinalias import (
     gauss_nodes,
     h_q,
     i_n,
-    jacobi,
     sample_gaussian_coeffs,
-    spin_sph_harm,
     synthesize,
     tau,
-    wigner_d,
 )
 from spinalias.spectrum import AngularPowerSpectrum
+
+
+def jacobi(nu: int, alpha: float, beta: float, t):
+    """Evaluate the Jacobi polynomial P_nu^(alpha, beta) at t in [-1, 1].
+
+    Uses the standard three-term recurrence in the degree, which is exact
+    for nu = 0, 1 and stable for alpha, beta > -1 and non-negative integer
+    parameters.
+    """
+    if nu < 0:
+        raise ValueError(f"degree must be >= 0, got nu={nu}")
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0 + 1e-12):
+        raise ValueError("argument outside [-1, 1]")
+    p_prev = np.ones_like(t)
+    if nu == 0:
+        return p_prev if p_prev.ndim else float(p_prev)
+    p_cur = (alpha + 1.0) + (alpha + beta + 2.0) * (t - 1.0) / 2.0
+    for k in range(2, nu + 1):
+        c1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
+        c2 = (2.0 * k + alpha + beta - 1.0) * (
+            (2.0 * k + alpha + beta) * (2.0 * k + alpha + beta - 2.0) * t
+            + alpha * alpha
+            - beta * beta
+        )
+        c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
+        p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
+    return p_cur if p_cur.ndim else float(p_cur)
+
+
+def jacobi_norm(nu: int, alpha: float, beta: float) -> float:
+    """Squared weighted L2 norm of P_nu^(alpha, beta) on [-1, 1].
+
+    Returns the constant Lambda such that the polynomials of equal
+    parameters integrate against the weight (1-t)^alpha (1+t)^beta to
+    Lambda on the diagonal and 0 off it.
+    """
+    if nu < 0:
+        raise ValueError(f"degree must be >= 0, got nu={nu}")
+    if alpha <= -1.0 or beta <= -1.0:
+        raise ValueError(f"need alpha, beta > -1, got ({alpha}, {beta})")
+    log_val = (
+        (alpha + beta + 1.0) * math.log(2.0)
+        + math.lgamma(nu + alpha + 1.0)
+        + math.lgamma(nu + beta + 1.0)
+        - math.lgamma(nu + 1.0)
+        - math.lgamma(nu + alpha + beta + 1.0)
+    )
+    return math.exp(log_val) / (2.0 * nu + alpha + beta + 1.0)
+
+
+def _check_theta(theta):
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < -1e-9) or np.any(theta > math.pi + 1e-9):
+        raise ValueError("colatitude outside [0, pi]")
+    return np.clip(theta, 0.0, math.pi)
+
+
+def wigner_d_jacobi(ell: int, m: int, s: int, theta):
+    """Wigner small-d element d^ell_{m,-s}(theta) from its Jacobi form.
+
+    Evaluated through the symmetry-reduced Jacobi representation with
+    non-negative polynomial parameters a = |m+s|, b = |m-s| and degree
+    ell - max(|m|, |s|); the sign is fixed so that the result agrees with
+    the half-angle product formula on the quadrant m+s >= 0, m-s >= 0.
+    Accepts any integer spin (s may be negative).  Shares no code with
+    the library's l-recursion kernel.
+    """
+    if ell < max(abs(m), abs(s)):
+        raise ValueError(f"need ell >= max(|m|, |s|): got ({ell}, {m}, {s})")
+    theta = _check_theta(theta)
+    m2 = -s
+    k = min(ell + m, ell - m, ell + m2, ell - m2)
+    if k == ell + m:
+        a, lam = m2 - m, m2 - m
+    elif k == ell - m:
+        a, lam = m - m2, 0
+    elif k == ell + m2:
+        a, lam = m - m2, 0
+    else:
+        a, lam = m2 - m, m2 - m
+    b = 2 * ell - 2 * k - a
+    # prefactor sqrt( C(2*ell-k, k+a) / C(k+b, b) ), via log-gamma
+    log_pref = 0.5 * (
+        math.lgamma(2 * ell - k + 1)
+        - math.lgamma(k + a + 1)
+        - math.lgamma(k + b + 1)
+        + math.lgamma(k + 1)
+    )
+    sign = -1.0 if lam % 2 else 1.0
+    half = 0.5 * theta
+    # the prefactor overflows alone for ell > ~1030; a = 0 keeps sin^0(0) = 1
+    with np.errstate(divide="ignore"):
+        log_sin = a * np.log(np.sin(half)) if a else 0.0
+    log_val = log_pref + log_sin + b * np.log(np.cos(half))
+    val = sign * np.exp(log_val) * jacobi(k, float(a), float(b), np.cos(theta))
+    val = np.asarray(val)
+    return val if val.ndim else float(val)
+
+
+def spin_sph_harm_jacobi(ell: int, m: int, s: int, theta, phi):
+    """Spin-weighted spherical harmonic Y_{ell,m;s}(theta, phi) on ``wigner_d_jacobi``.
+
+    Y = sqrt((2*ell+1)/(4*pi)) * (-1)^s * exp(i*m*phi) * d^ell_{m,-s}(theta).
+    """
+    phi = np.asarray(phi, dtype=float)
+    norm = math.sqrt((2 * ell + 1) / (4.0 * math.pi))
+    sign = -1.0 if s % 2 else 1.0
+    val = norm * sign * np.exp(1j * m * phi) * wigner_d_jacobi(ell, m, s, theta)
+    val = np.asarray(val)
+    return val if val.ndim else complex(val)
 
 
 def h_q_direct(m: int, v: int, Q: int) -> complex:
@@ -96,15 +206,15 @@ def i_n_halfgrid(grid, ell: int, m: int, u: int, v: int, s: int) -> float:
     once.
     """
     theta = grid.theta_nodes
-    term = (grid.theta_weights * np.asarray(wigner_d(ell, m, s, theta))
-            * np.asarray(wigner_d(u, v, s, theta)))
+    term = (grid.theta_weights * np.asarray(wigner_d_jacobi(ell, m, s, theta))
+            * np.asarray(wigner_d_jacobi(u, v, s, theta)))
     lower = theta < math.pi / 2.0 - 1e-13
     middle = np.abs(theta - math.pi / 2.0) <= 1e-13
     return float(2.0 * term[lower].sum() + term[middle].sum())
 
 
 class CellOracle:
-    """Colatitude sums cell by cell on one grid, straight from ``wigner_d``.
+    """Colatitude sums cell by cell on one grid, straight from ``wigner_d_jacobi``.
 
     Evaluates I(ell, m; u, v) = sum_p w_p d^ell_{m,-s} d^u_{v,-s} per
     lattice cell with the grid's weights, and from it the alias cells,
@@ -119,7 +229,8 @@ class CellOracle:
 
     def d(self, deg: int, order: int) -> np.ndarray:
         if (deg, order) not in self._d:
-            self._d[deg, order] = np.asarray(wigner_d(deg, order, self.s, self.grid.theta_nodes))
+            self._d[deg, order] = np.asarray(
+                wigner_d_jacobi(deg, order, self.s, self.grid.theta_nodes))
         return self._d[deg, order]
 
     def tau(self, ell: int, m: int, u: int, v: int) -> float:
@@ -178,8 +289,11 @@ def gaussian_coeffs_loop(spec, L0: int, seed) -> np.ndarray:
     return out
 
 
-def wigner_parity_deviation(l_max=20, thetas=(0.2, 0.9, 1.7, 2.5)) -> float:
-    """max |d^l_{m,-s}(pi - t) - (-1)^(l+s) d^l_{-m,-s}(t)| over the sweep."""
+def wigner_parity_deviation(wigner_d, l_max=20, thetas=(0.2, 0.9, 1.7, 2.5)) -> float:
+    """max |d^l_{m,-s}(pi - t) - (-1)^(l+s) d^l_{-m,-s}(t)| over the sweep.
+
+    ``wigner_d(ell, m, s, theta)`` is the evaluator under test.
+    """
     worst = 0.0
     thetas = np.asarray(thetas)
     for ell in range(l_max + 1):
@@ -192,8 +306,10 @@ def wigner_parity_deviation(l_max=20, thetas=(0.2, 0.9, 1.7, 2.5)) -> float:
     return worst
 
 
-def orthonormality_deviation(l_max=10, s_max=3) -> float:
+def orthonormality_deviation(wigner_d, l_max=10, s_max=3) -> float:
     """Dense-quadrature check of int Y conj(Y') dx = delta * delta.
+
+    ``wigner_d(ell, m, s, theta)`` is the evaluator under test.
 
     The product rule is separable: an equispaced longitude rule with
     more points than 2*l_max makes the phase integral an exact
@@ -228,8 +344,11 @@ def orthonormality_deviation(l_max=10, s_max=3) -> float:
     return worst
 
 
-def addition_theorem_deviation(l_max=20, s_max=3) -> float:
-    """max | sum_m |Y_{l,m;s}|^2 - (2l+1)/(4pi) | at a few points."""
+def addition_theorem_deviation(spin_sph_harm, l_max=20, s_max=3) -> float:
+    """max | sum_m |Y_{l,m;s}|^2 - (2l+1)/(4pi) | at a few points.
+
+    ``spin_sph_harm(ell, m, s, theta, phi)`` is the evaluator under test.
+    """
     worst = 0.0
     points = [(0.4, 0.7), (1.3, 2.9), (2.8, 5.5)]
     for s in range(s_max + 1):

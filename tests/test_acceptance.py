@@ -18,6 +18,7 @@ from spinalias import (
     enumerate_aliases,
     monte_carlo_spectrum,
     verify_bandlimit,
+    wigner_d,
 )
 
 from _invariants import (
@@ -244,8 +245,8 @@ def test_criterion_5_secondary_elimination():
 def test_criterion_6_invariant_suites():
     start = time.perf_counter()
     checks = {
-        "orthonormality (1e-10)": (orthonormality_deviation(), 1e-10),
-        "wigner parity (1e-12)": (wigner_parity_deviation(), 1e-12),
+        "orthonormality (1e-10)": (orthonormality_deviation(wigner_d), 1e-10),
+        "wigner parity (1e-12)": (wigner_parity_deviation(wigner_d), 1e-12),
         "H_Q kronecker (1e-12)": (h_q_kronecker_deviation(), 1e-12),
         "parity annihilation (1e-12)": (parity_annihilation_deviation(), 1e-12),
         "tau symmetry (1e-12)": (tau_symmetry_deviation(), 1e-12),

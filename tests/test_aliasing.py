@@ -22,7 +22,6 @@ from spinalias import (
     i_n,
     synthesize,
     tau,
-    wigner_d,
 )
 from spinalias.sampling import table_weights
 
@@ -34,6 +33,7 @@ from _invariants import (
     parity_annihilation_deviation,
     spectral_vs_direct_deviation,
     tau_symmetry_deviation,
+    wigner_d_jacobi,
 )
 
 
@@ -84,7 +84,8 @@ class TestIN:
         t50, w50 = np.polynomial.legendre.leggauss(50)
         theta = np.arccos(t50)
         oracle = float(
-            (w50 * np.asarray(wigner_d(2, 0, 2, theta)) * np.asarray(wigner_d(2, 2, 2, theta))).sum()
+            (w50 * np.asarray(wigner_d_jacobi(2, 0, 2, theta))
+             * np.asarray(wigner_d_jacobi(2, 2, 2, theta))).sum()
         )
         assert_allclose(i_n(gj_grid, 2, 0, 2, 2, 2), oracle, rtol=1e-12)
 
@@ -136,8 +137,8 @@ class TestHalfGrid:
         w = gj_grid.theta_weights
         half = slice(0, gj_grid.n_theta // 2)
         for ell, m in [(2, 0), (3, 1), (4, -2)]:
-            d1 = np.asarray(wigner_d(ell, m, 2, theta))
-            d2 = np.asarray(wigner_d(ell, -m, 2, theta))
+            d1 = np.asarray(wigner_d_jacobi(ell, m, 2, theta))
+            d2 = np.asarray(wigner_d_jacobi(ell, -m, 2, theta))
             full = float((w * d1 * d2).sum())
             folded = 2.0 * float((w[half] * d1[half] * d2[half]).sum())
             assert_allclose(folded, full, atol=1e-12)

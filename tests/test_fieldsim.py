@@ -17,11 +17,10 @@ from spinalias import (
     build_grid_gauss,
     monte_carlo_spectrum,
     sample_gaussian_coeffs,
-    spin_sph_harm,
     synthesize,
 )
 
-from _invariants import gaussian_coeffs_loop
+from _invariants import gaussian_coeffs_loop, spin_sph_harm_jacobi
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ class TestSynthesize:
         for p, theta in enumerate(grid.theta_nodes):
             for q, phi in enumerate(grid.phi_nodes):
                 assert_allclose(
-                    field.values[p, q], spin_sph_harm(2, 0, 2, theta, phi), atol=1e-14
+                    field.values[p, q], spin_sph_harm_jacobi(2, 0, 2, theta, phi), atol=1e-14
                 )
 
     def test_zero_coefficients(self, grid):
@@ -160,14 +159,14 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("s", [0, 2])
     def test_dense_basis_oracle(self, s):
-        # the field summed mode by mode from spin_sph_harm (wigner_d), which
-        # shares no code with the Wigner-d blocks behind synthesize/analyze
+        # the field summed mode by mode from the Jacobi-form harmonics, which
+        # share no code with the Wigner-d blocks behind synthesize/analyze
         L0 = 6
         coeffs = sample_gaussian_coeffs(AngularPowerSpectrum.flat(s, L0), L0, seed=17)
         for grid in (build_grid_gauss(s + L0 + 1, s, L0 + 1),
                      build_grid_equiangular(s + L0 + 2, s, L0 + 1)):
             theta, phi = grid.theta_nodes[:, None], grid.phi_nodes[None, :]
-            dense = sum(coeffs.get(ell, m) * spin_sph_harm(ell, m, s, theta, phi)
+            dense = sum(coeffs.get(ell, m) * spin_sph_harm_jacobi(ell, m, s, theta, phi)
                         for ell, m in coeffs.indices())
             assert np.abs(synthesize(coeffs, grid).values - dense).max() < 1e-12, grid.scheme
             tilde = analyze(FieldSamples(grid, dense), s, L0)

@@ -6,9 +6,10 @@ Every grid keeps one node set closed under theta -> pi - theta, so
 
 serves each negative order from the cached block of order |m|, read
 reversed.  The properties below hold on both schemes and on asymmetric
-grids, whose node set gains the missing mirrors.  The references are
-``wigner_d``/``spin_sph_harm`` (the Jacobi form) and direct kernel calls
-on the grid's own nodes, neither of which reads the grid's tables.
+grids, whose node set gains the missing mirrors.  The references are the
+Jacobi-form oracles ``wigner_d_jacobi``/``spin_sph_harm_jacobi`` of
+``_invariants`` and direct kernel calls on the grid's own nodes, neither
+of which reads the grid's tables.
 """
 
 import math
@@ -24,13 +25,13 @@ from spinalias import (
     build_grid_equiangular,
     build_grid_gauss,
     i_n,
-    spin_sph_harm,
     synthesize,
     validate_symmetry,
-    wigner_d,
 )
 from spinalias.sampling import SamplingGrid, SamplingScheme
 from spinalias.special import _wigner_d_blocks
+
+from _invariants import spin_sph_harm_jacobi, wigner_d_jacobi
 
 
 def _custom_grid(theta, weights, Q: int) -> SamplingGrid:
@@ -120,7 +121,7 @@ def test_synthesize_equals_dense_sum(data):
         m = int(rng.integers(-ell, ell + 1))
         coeffs.set(ell, m, complex(*rng.standard_normal(2)))
     theta, phi = grid.theta_nodes[:, None], grid.phi_nodes[None, :]
-    dense = sum(coeffs.get(ell, m) * spin_sph_harm(ell, m, s, theta, phi)
+    dense = sum(coeffs.get(ell, m) * spin_sph_harm_jacobi(ell, m, s, theta, phi)
                 for ell, m in coeffs.indices() if coeffs.get(ell, m))
     assert np.abs(synthesize(coeffs, grid).values - dense).max() <= 1e-12
 
@@ -140,7 +141,7 @@ def test_analyze_equals_dense_quadrature(data):
     theta, phi = grid.theta_nodes[:, None], grid.phi_nodes[None, :]
     weighted = grid.theta_weights[:, None] * grid.phi_weights[None, :] * values
     for ell, m in tilde.indices():
-        dense = (weighted * np.conj(spin_sph_harm(ell, m, s, theta, phi))).sum()
+        dense = (weighted * np.conj(spin_sph_harm_jacobi(ell, m, s, theta, phi))).sum()
         assert abs(tilde.get(ell, m) - dense) <= 1e-12
 
 
@@ -157,12 +158,12 @@ def cells(draw):
 @settings(max_examples=60, deadline=None)
 @given(cell=cells(), data=st.data())
 def test_cross_sums_of_negative_orders(cell, data):
-    # every sign pair (m, v) against the sum taken straight from wigner_d
+    # every sign pair (m, v) against the sum taken straight from the Jacobi form
     s, ell, m, u, v = cell
     grid = data.draw(grids(s), label="grid")
     theta = grid.theta_nodes
-    direct = float((grid.theta_weights * np.asarray(wigner_d(ell, m, s, theta))
-                    * np.asarray(wigner_d(u, v, s, theta))).sum())
+    direct = float((grid.theta_weights * np.asarray(wigner_d_jacobi(ell, m, s, theta))
+                    * np.asarray(wigner_d_jacobi(u, v, s, theta))).sum())
     assert abs(i_n(grid, ell, m, u, v, s) - direct) <= 1e-12
 
 

@@ -12,8 +12,6 @@ from spinalias import (
     HarmonicIndex,
     build_grid_equiangular,
     build_grid_gauss,
-    jacobi,
-    jacobi_norm,
     spin_sph_harm,
     wigner_d,
 )
@@ -22,8 +20,11 @@ from spinalias.special import _wigner_d_blocks
 from _invariants import (
     addition_theorem_deviation,
     h_factor,
+    jacobi,
     jacobi_deriv,
+    jacobi_norm,
     orthonormality_deviation,
+    wigner_d_jacobi,
     wigner_parity_deviation,
 )
 
@@ -196,8 +197,18 @@ class TestWignerD:
                             atol=5e-13,
                         )
 
+    @pytest.mark.parametrize("ell", [7, 12, 40])
+    def test_against_jacobi_form(self, ell):
+        # every order and spin of the degree, poles and equator included
+        theta = np.array([0.0, 0.37, 1.2, math.pi / 2, 2.6, math.pi])
+        worst = max(
+            float(np.abs(wigner_d(ell, m, s, theta) - wigner_d_jacobi(ell, m, s, theta)).max())
+            for s in range(-ell, ell + 1) for m in range(-ell, ell + 1)
+        )
+        assert worst < 1e-12
+
     def test_parity_sweep(self):
-        assert wigner_parity_deviation(l_max=20) < 1e-12
+        assert wigner_parity_deviation(wigner_d, l_max=20) < 1e-12
 
     def test_mp_oracle_matches_factorial_sum(self):
         for ell in range(5):
@@ -236,7 +247,7 @@ def both_schemes_nodes(L, s):
 
 
 class TestWignerDBlocks:
-    """The per-order recursion kernel against the scalar oracle wigner_d."""
+    """The per-order recursion kernel against the Jacobi-form oracle."""
 
     def check_rows(self, L, s, row_offsets):
         theta = both_schemes_nodes(L, s)
@@ -247,7 +258,7 @@ class TestWignerDBlocks:
             assert block.shape == (L - l0 + 1, theta.size)
             assert not block.flags.writeable
             for ell in sorted({l0 + k for k in row_offsets(L - l0) if l0 + k <= L}):
-                assert_allclose(block[ell - l0], wigner_d(ell, m, s, theta),
+                assert_allclose(block[ell - l0], wigner_d_jacobi(ell, m, s, theta),
                                 rtol=0, atol=1e-12, err_msg=f"ell={ell} m={m} s={s}")
 
     @pytest.mark.parametrize("s", [0, 1, 2, 3])
@@ -335,10 +346,10 @@ class TestSpinSphHarm:
         assert_allclose(mods, mods[0], rtol=1e-14)
 
     def test_addition_theorem_sweep(self):
-        assert addition_theorem_deviation(l_max=20, s_max=3) < 1e-12
+        assert addition_theorem_deviation(spin_sph_harm, l_max=20, s_max=3) < 1e-12
 
     def test_orthonormality_dense_quadrature(self):
-        assert orthonormality_deviation(l_max=10, s_max=3) < 1e-10
+        assert orthonormality_deviation(wigner_d, l_max=10, s_max=3) < 1e-10
 
     def test_conjugation_identity(self):
         # conj(Y_{l,m;s}) = (-1)^(s+m) Y_{l,-m;-s}
