@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import warnings
 
@@ -97,18 +96,8 @@ def _cmd_grid(args) -> int:
             for i in range(grid.n_theta)]
     rows += [("phi", i, grid.phi_nodes[i], grid.phi_weights[i])
              for i in range(grid.n_phi)]
-    if args.format == "json":
-        meta = _metadata(args, "grid", scheme=args.scheme, N=args.N, s=args.s, Q=args.Q)
-        doc = {
-            "scheme": grid.scheme.value, "N": grid.N, "s": grid.s, "Q": grid.Q,
-            "theta": [{"node": float(n), "weight": float(w)}
-                      for n, w in zip(grid.theta_nodes, grid.theta_weights)],
-            "phi": [{"node": float(n), "weight": float(w)}
-                    for n, w in zip(grid.phi_nodes, grid.phi_weights)],
-        }
-        _write(args, json.dumps({"metadata": meta, **doc}, indent=2) + "\n")
-        return 0
-    _emit(args, {}, {"grid": (["axis", "index", "node", "weight"], rows)})
+    meta = _metadata(args, "grid", scheme=args.scheme, N=args.N, s=args.s, Q=args.Q)
+    _emit(args, meta, {"grid": (["axis", "index", "node", "weight"], rows)})
     return 0
 
 

@@ -301,7 +301,7 @@ def monte_carlo_spectrum(
     sterr = samples.std(axis=0, ddof=1) / math.sqrt(n_real)
     # the drawn ensemble is band-limited at L0, so u_max = L0 is not a truncation
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.filterwarnings("ignore", r"u_max=\d+ may truncate", UserWarning)
         predicted = np.asarray(spectrum.aliased_spectrum(grid, spec, ell_list, u_max=L0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sterr > 0, (mean - predicted) / sterr, 0.0)

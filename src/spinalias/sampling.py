@@ -200,7 +200,10 @@ def build_grid_gauss(N: int, s: int, Q: int) -> SamplingGrid:
 
     Places n = N - s colatitude nodes at arccos of the n-point
     Gauss-Legendre abscissas; the weights are the Gauss-Legendre weights
-    omega_p, exact for cosine polynomials up to degree 2n - 1.
+    omega_p, exact for cosine polynomials up to degree 2n - 1.  The rule
+    is mirror-symmetric by construction: the upper half of the nodes is
+    pi minus the lower half, a middle node sits at pi/2, and each mirror
+    pair of weights is the pair's mean.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got s={s}")
@@ -209,8 +212,14 @@ def build_grid_gauss(N: int, s: int, Q: int) -> SamplingGrid:
     t, omega = gauss_nodes(N - s)
     # descending t gives increasing theta
     theta = np.arccos(t[::-1])
+    # the eigensolver's nodes are symmetric only to a few ulp
+    half = theta.size // 2
+    theta[theta.size - half:] = math.pi - theta[:half][::-1]
+    if theta.size % 2:
+        theta[half] = math.pi / 2
+    weights = (omega + omega[::-1]) / 2
     phi, w_phi = _phi_rule(Q)
-    return SamplingGrid(SamplingScheme.GAUSS_JACOBI, N, s, Q, theta, omega[::-1], phi, w_phi)
+    return SamplingGrid(SamplingScheme.GAUSS_JACOBI, N, s, Q, theta, weights, phi, w_phi)
 
 
 def build_grid_equiangular(N: int, s: int, Q: int) -> SamplingGrid:

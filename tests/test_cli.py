@@ -70,12 +70,20 @@ class TestGridCommand:
         assert "N > s" in err
 
     def test_json_format(self):
+        # the column arrays every command writes, with the CSV's values
         code, out, _ = run_cli("grid", "--N", "6", "--s", "2", "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["scheme"] == "gauss"
-        assert len(doc["theta"]) == 4
-        assert {"node", "weight"} <= set(doc["theta"][0])
+        assert doc["metadata"]["parameters"] == {"scheme": "gauss", "N": 6, "s": 2, "Q": 1}
+        table = doc["grid"]
+        assert list(table) == ["axis", "index", "node", "weight"]
+        assert table["axis"] == ["theta"] * 4 + ["phi"] * 2
+        assert table["index"] == [0, 1, 2, 3, 0, 1]
+        grid = build_grid_gauss(6, 2, 1)
+        assert table["node"][:4] == grid.theta_nodes.tolist()
+        assert table["weight"][:4] == table_weights(grid).tolist()
+        assert table["node"][4:] == grid.phi_nodes.tolist()
+        assert table["weight"][4:] == grid.phi_weights.tolist()
 
 
 class TestAliasMapCommand:

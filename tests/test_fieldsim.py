@@ -1,9 +1,12 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinalias import (
@@ -19,6 +22,7 @@ from spinalias import (
     sample_gaussian_coeffs,
     synthesize,
 )
+from spinalias import spectrum
 
 from _invariants import gaussian_coeffs_loop, spin_sph_harm_jacobi
 
@@ -148,6 +152,23 @@ class TestAnalyze:
             tilde = analyze(synthesize(coeffs, grid), 2, 4)
             assert np.abs(tilde.values - coeffs.values).max() < 1e-10, grid.scheme
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_sweep(self, data):
+        # any band L0 <= 24 round-trips on both schemes once N - s > L0 and Q > L0
+        s = data.draw(st.integers(0, 3), label="s")
+        L0 = data.draw(st.integers(s, 24), label="L0")
+        n = L0 + data.draw(st.integers(1, 6), label="extra nodes")
+        Q = L0 + data.draw(st.integers(1, 6), label="extra longitudes")
+        if data.draw(st.booleans(), label="equiangular"):
+            grid = build_grid_equiangular(s + n + n % 2, s, Q)
+        else:
+            grid = build_grid_gauss(s + n, s, Q)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        coeffs = sample_gaussian_coeffs(AngularPowerSpectrum.flat(s, L0), L0, seed)
+        tilde = analyze(synthesize(coeffs, grid), s, L0)
+        assert np.abs(tilde.values - coeffs.values).max() <= 1e-12
+
     def test_energy_conservation(self, exact_grids):
         spec = AngularPowerSpectrum.flat(2, 4)
         coeffs = sample_gaussian_coeffs(spec, 4, seed=33)
@@ -244,6 +265,25 @@ class TestMonteCarlo:
         r2 = monte_carlo_spectrum(spec, grid, 4, [2, 3], 100, seed=5)
         assert r1.empirical_mean == r2.empirical_mean
         assert r1.z_scores == r2.z_scores
+
+    def test_prediction_warnings_surface(self, grid, monkeypatch):
+        # only the known u_max note is filtered; any other warning reaches the caller
+        predict = spectrum.aliased_spectrum
+
+        def noisy(*args, **kwargs):
+            warnings.warn("unexpected prediction warning", RuntimeWarning)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "aliased_spectrum", noisy)
+        with pytest.warns(RuntimeWarning, match="unexpected prediction warning"):
+            monte_carlo_spectrum(AngularPowerSpectrum.flat(2, 4), grid, 4, [2, 3], 100, seed=0)
+
+    def test_default_run_warns_nothing(self, grid):
+        # the simulate command's default lmax 8 on its N=6, s=2, Q=1 Gauss grid;
+        # the warnings do not depend on the number of realizations
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monte_carlo_spectrum(AngularPowerSpectrum.flat(2, 8), grid, 8, range(2, 9), 200, seed=0)
 
     def test_n_real_validation(self, grid):
         spec = AngularPowerSpectrum.flat(2, 4)

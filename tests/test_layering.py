@@ -2,7 +2,8 @@
 
 Each module imports only the layers below it, every import is a
 module-level statement, and the Wigner-d table cache is private to the
-grid.
+grid.  The library has one Wigner-d evaluator, and the test oracles do
+not import it.
 """
 
 import ast
@@ -100,3 +101,36 @@ def test_import_loads_no_fft_and_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _calls(tree, qualname: str) -> set:
+    """Names that a module-level function or ``Class.method`` calls directly."""
+    node = tree
+    for part in qualname.split("."):
+        node = next(item for item in node.body if getattr(item, "name", None) == part)
+    return {call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def test_one_wigner_d_evaluator():
+    # the Jacobi form lives in the tests as the oracle; the library has the kernel only
+    trees = _trees()
+    jacobi = [f"{name}.py:{node.lineno}" for name, tree in trees.items()
+              for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name in ("jacobi", "jacobi_norm")]
+    assert jacobi == []
+    readers = {"special": "wigner_d", "spectrum": "circular_covariance",
+               "sampling": "SamplingGrid._d_blocks"}
+    assert [f"{module}.{name}" for module, name in readers.items()
+            if "_wigner_d_blocks" not in _calls(trees[module], name)] == []
+
+
+def test_oracles_do_not_import_the_kernel():
+    tree = ast.parse((Path(__file__).parent / "_invariants.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spinalias")
+        for alias in node.names
+    }
+    assert imported & {"wigner_d", "spin_sph_harm", "_wigner_d_blocks"} == set()

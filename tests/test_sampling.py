@@ -207,6 +207,12 @@ class TestValidateSymmetry:
     def test_gauss_sweep(self, N, s):
         assert validate_symmetry(build_grid_gauss(N, s, 1)).symmetric
 
+    def test_gauss_exactly_symmetric(self):
+        # mirrored by construction, not left to the eigensolver's rounding
+        asymmetric = [n for n in range(1, 201)
+                      if validate_symmetry(build_grid_gauss(n + 2, 2, 1)).max_deviation != 0.0]
+        assert asymmetric == []
+
     def test_asymmetric_grid_rejected(self):
         grid = SamplingGrid(
             SamplingScheme.GAUSS_JACOBI, 2, 0, 1,
