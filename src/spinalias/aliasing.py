@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -172,31 +173,24 @@ def enumerate_aliases(
     ell, m, s = source.ell, source.m, source.s
     wraps = _wraps(m, u_max, grid.Q)  # r = 0 gives the source order itself
     grid._d_blocks(s, {abs(v) for _, v in wraps}, u_max)
-    entries = []
-    for r, v in wraps:
-        us = range(max(abs(v), s), u_max + 1)
-        taus = _kappa(ell, np.asarray(us)) * _cross_sums(grid, s, m, [ell], v, us)[0]
-        for u, t_val in zip(us, taus.tolist()):
-            j = u - ell
-            if (j == 0 and r == 0) or abs(t_val) <= INTENSITY_FLOOR:
-                continue
-            klass = (
-                AliasClass.PRIMARY if j > grid.N - grid.s - 1 else AliasClass.SECONDARY
-            )
-            entries.append(
-                AliasEntry(
-                    source=source,
-                    alias=HarmonicIndex(u, v, s),
-                    j=j,
-                    r=r,
-                    klass=klass,
-                    tau=t_val,
-                    intensity=abs(t_val),
-                    distance=math.hypot(j, v - m),
-                )
-            )
-    entries.sort(key=lambda e: (e.distance, e.j, e.r))
-    return AliasMap(source=source, grid=grid, u_max=u_max, entries=tuple(entries))
+    # one product per wrap: a product over all wraps at once sums in another
+    # order and moves tau in the last digit
+    cols = [np.arange(max(abs(v), s), u_max + 1) for _, v in wraps]
+    u = np.concatenate(cols)
+    r = np.repeat([r for r, _ in wraps], [c.size for c in cols])
+    taus = _kappa(ell, u) * np.concatenate(
+        [_cross_sums(grid, s, m, [ell], v, c)[0] for (_, v), c in zip(wraps, cols)])
+    keep = (np.abs(taus) > INTENSITY_FLOOR) & ((u != ell) | (r != 0))
+    u, r, taus = u[keep], r[keep], taus[keep]
+    j, dv = u - ell, 2 * grid.Q * r
+    distance = np.array(list(map(math.hypot, j.tolist(), dv.tolist())))
+    order = np.lexsort((r, j, distance))
+    u, v, j, r, taus, distance = (x[order].tolist() for x in (u, m + dv, j, r, taus, distance))
+    last_secondary = grid.N - grid.s - 1
+    klass = [AliasClass.PRIMARY if jj > last_secondary else AliasClass.SECONDARY for jj in j]
+    entries = tuple(map(AliasEntry, repeat(source), map(HarmonicIndex, u, v, repeat(s)), j, r,
+                        klass, taus, map(abs, taus), distance))
+    return AliasMap(source=source, grid=grid, u_max=u_max, entries=entries)
 
 
 def distance_bound_report(alias_map: AliasMap) -> DistanceReport:

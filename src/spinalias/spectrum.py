@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _cross_sums, _weighted_rows, _wraps
+from .aliasing import _cross_sums, _wraps
 from .sampling import SamplingGrid
 from .special import _wigner_d_blocks
 
@@ -95,6 +95,16 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
     return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)
 
 
+def _class_table(blocks: dict, orders: list, rows: list) -> np.ndarray:
+    """Rows of the blocks of ``orders`` up to sign, stacked; ``rows[i]`` selects them in block i.
+
+    Order -k reads the block of order k reversed.  Its row signs
+    (-1)^(deg+s) are left out: the caller only squares the products.
+    """
+    return np.concatenate([blocks[-o][sel][:, ::-1] if o < 0 else blocks[o][sel]
+                           for o, sel in zip(orders, rows)])
+
+
 def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u_max: int):
     """Predicted aliased spectrum C~_ell on ``grid``.
 
@@ -103,10 +113,16 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     included, so a band-limited alias-free configuration returns the
     input spectrum); C~_ell averages the moments over m.  The degree sum
     is truncated at ``u_max``.
+
+    The longitude comb couples order m only to the orders v = m (mod 2Q),
+    so the cross sums are evaluated as one product per residue class:
+    the rows (ell, m) of the class against the columns (u, v) of the class.
     """
     if u_max > spec.L_max:
         raise ValueError(f"need u_max <= spectrum L_max, got {u_max} > {spec.L_max}")
     s = spec.s
+    if u_max < s:
+        raise ValueError(f"need u_max >= s, got u_max={u_max} < s={s}")
     ell_list = list(ell_list)
     for ell in ell_list:
         if ell < s:
@@ -117,25 +133,35 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
                 f"(nearest wrap-around degrees extend past it)",
                 stacklevel=2,
             )
+    if not ell_list:
+        return []
+    degs = np.array(sorted(set(ell_list)))  # np.unique takes milliseconds on its first call
+    top = int(degs[-1])
+    two_q = 2 * grid.Q
+    # the signed orders m and v of each residue class that occurs
+    classes = {}
+    for m in range(-top, top + 1):
+        classes.setdefault(m % two_q, ([], []))[0].append(m)
+    for v in range(-u_max, u_max + 1):
+        if v % two_q in classes:
+            classes[v % two_q][1].append(v)
+    orders = {abs(v) for _, vs in classes.values() for v in vs}
+    blocks = grid._d_blocks(s, orders | set(range(top + 1)), max(top, u_max))
     # kappa^2 / (2 ell + 1) = (2u + 1) / 4 weights each squared cross sum
     weight = np.array([(2 * u + 1) * spec.total_at(u) for u in range(s, u_max + 1)]) / 4.0
-    out = np.zeros(len(ell_list))
-    top = max(ell_list, default=-1)
-    orders = {abs(v) for m in range(top + 1) for _, v in _wraps(m, u_max, grid.Q)}
-    grid._d_blocks(s, orders | set(range(top + 1)), max(top, u_max))
-    for m in range(top + 1):
-        rows = [k for k, ell in enumerate(ell_list) if ell >= m]
-        degs = [ell_list[k] for k in rows]
-        for _, v in _wraps(m, u_max, grid.Q):
-            lo = max(abs(v), s)
-            d_v = grid._d_blocks(s, [abs(v)], u_max)[abs(v)][: u_max + 1 - lo]
-            # order -m meets wrap -v: the same sums up to sign, so one product serves both
-            pair = [_weighted_rows(grid, s, m, degs, v)]
-            if m:
-                pair.append(_weighted_rows(grid, s, -m, degs, -v))
-            squares = (np.vstack(pair) @ d_v.T) ** 2 @ weight[lo - s :]
-            out[rows] += squares.reshape(len(pair), len(rows)).sum(axis=0)
-    return out.tolist()
+    per_deg = np.zeros(degs.size)
+    for ms, vs in classes.values():
+        if not vs:  # no order of the class within u_max
+            continue
+        row_degs = [degs[degs >= abs(m)] for m in ms]
+        rows = _class_table(blocks, ms, [d - max(abs(m), s) for m, d in zip(ms, row_degs)])
+        col_lo = [max(abs(v), s) for v in vs]  # the columns of order v are u = lo .. u_max
+        cols = _class_table(blocks, vs, [slice(u_max + 1 - lo) for lo in col_lo])
+        col_weight = np.concatenate([weight[lo - s :] for lo in col_lo])
+        squares = ((rows * grid._weights) @ cols.T) ** 2 @ col_weight
+        per_deg += np.bincount(np.searchsorted(degs, np.concatenate(row_degs)), squares,
+                               minlength=degs.size)
+    return per_deg[np.searchsorted(degs, ell_list)].tolist()
 
 
 def circular_covariance(spec: AngularPowerSpectrum, theta_psi: float) -> float:

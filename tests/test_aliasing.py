@@ -210,6 +210,34 @@ class TestEnumerate:
                 assert got[cell][0] is klass
                 assert abs(got[cell][1] - value) <= 1e-12
 
+    @pytest.mark.parametrize("build", [build_grid_gauss, build_grid_equiangular])
+    def test_benchmark_scale_walk(self, build):
+        grid = build(16, 2, 4)
+        last_secondary = grid.N - grid.s - 1
+        for ell, m in [(12, -12), (7, -3), (2, 0), (9, 5)]:
+            source = HarmonicIndex(ell, m, 2)
+            entries = enumerate_aliases(source, grid, u_max=200).entries
+            keys = [(e.distance, e.j, e.r) for e in entries]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            for e in entries:
+                assert e.distance == math.hypot(e.j, e.alias.m - m)
+                assert e.klass is (AliasClass.PRIMARY if e.j > last_secondary
+                                   else AliasClass.SECONDARY)
+                assert (e.source, e.j, e.intensity) == (source, e.alias.ell - ell, abs(e.tau))
+
+    @pytest.mark.parametrize("build", [build_grid_gauss, build_grid_equiangular])
+    def test_benchmark_grid_matches_cell_oracle(self, build):
+        grid = build(16, 2, 4)
+        oracle = CellOracle(grid, 2)
+        for ell, m in [(9, -5), (4, 3)]:
+            amap = enumerate_aliases(HarmonicIndex(ell, m, 2), grid, u_max=60)
+            expected = oracle.aliases(ell, m, 60)
+            got = {(e.alias.ell, e.alias.m, e.j, e.r): (e.klass, e.tau) for e in amap.entries}
+            assert got.keys() == expected.keys()
+            for cell, (klass, value) in expected.items():
+                assert got[cell][0] is klass
+                assert abs(got[cell][1] - value) <= 1e-12
+
     def test_q_large_removes_secondaries(self):
         grid = build_grid_gauss(6, 2, 5)  # Q = N - s + 1
         amap = enumerate_aliases(HarmonicIndex(2, 0, 2), grid)

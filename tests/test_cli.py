@@ -235,6 +235,16 @@ class TestSpectrumAliasCommand:
         assert "cli.py" not in err
         assert re.search(r":\d+", err) is None
 
+    @pytest.mark.parametrize("umax", ["1", "0"])
+    def test_umax_below_spin_exit_2(self, tmp_path, umax):
+        spec_file = tmp_path / "flat.csv"
+        self._write_spectrum(spec_file, 2, [(l, 0.5, 0.5) for l in range(2, 7)])
+        code, out, err = run_cli("spectrum-alias", "--spectrum", str(spec_file),
+                                 "--N", "6", "--s", "2", "--Q", "1", "--umax", umax)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need u_max >= s, got u_max={umax} < s=2\n"
+
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     def test_non_finite_exit_3(self, tmp_path, suffix):
         path = tmp_path / f"bad.{suffix}"

@@ -322,6 +322,24 @@ class TestWignerDBlocks:
                             rtol=0, atol=1e-13)
             assert_allclose(block[:, -1], (m == s) * (-1.0) ** (ells + m), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("orders,s,top", [
+        ([], 2, 10),            # no orders: no blocks
+        ([3, -3, 3], 1, 12),    # repeated orders, both signs
+        ([9, 2, -1], 2, 6),     # ell0 = 9 > top: a zero-row block
+        ([4, -4, 0], 4, 4),     # top = ell0: one row each
+        ([0], 0, 5),            # s = m = 0 starts at ell = 0
+    ])
+    def test_edge_cases_match_single_order_calls(self, orders, s, top):
+        theta = both_schemes_nodes(8, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = _wigner_d_blocks(orders, s, top, theta)
+            alone = [_wigner_d_blocks([m], s, top, theta)[0] for m in orders]
+        assert len(blocks) == len(orders)
+        for m, block, single in zip(orders, blocks, alone):
+            assert block.shape == (max(top - max(abs(m), s) + 1, 0), theta.size)
+            assert np.array_equal(block, single), m
+
     def test_order_subsets_agree(self):
         # a block does not depend on which other orders share the pass
         theta = both_schemes_nodes(20, 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,39 @@ class TestAliasedSpectrum:
         spec = AngularPowerSpectrum.flat(2, 4)
         with pytest.raises(ValueError):
             aliased_spectrum(grid, spec, [2], u_max=6)
+
+    @pytest.mark.parametrize("u_max", [1, 0])
+    def test_umax_below_spin_rejected(self, grid, u_max):
+        # no degree u >= s is left to sum over
+        spec = AngularPowerSpectrum.flat(2, 6)
+        with pytest.raises(ValueError, match=f"need u_max >= s, got u_max={u_max} < s=2"):
+            aliased_spectrum(grid, spec, [2, 3], u_max=u_max)
+
+    @pytest.mark.parametrize("build", SCHEMES)
+    @pytest.mark.parametrize("Q,ells,u_max", [
+        (5, [3, 2], 12),         # 2Q > 2 ell_max + 1: the classes are not 0 .. 2 ell_max
+        (9, [2, 4, 3], 8),       # Q > u_max: each class holds one order
+        (2, [5, 2, 5, 3], 20),   # unsorted, with a repeated degree
+    ])
+    def test_sparse_residue_classes_match_cell_oracle(self, build, Q, ells, u_max):
+        grid = build(8, 2, Q)
+        rng = np.random.default_rng(Q)
+        spec = AngularPowerSpectrum(2, u_max, rng.uniform(0.1, 1.0, u_max - 1),
+                                    rng.uniform(0.1, 1.0, u_max - 1))
+        oracle = CellOracle(grid, 2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="u_max=.* may truncate")
+            out = aliased_spectrum(grid, spec, ells, u_max=u_max)
+        assert_allclose(out, oracle.spectrum(spec, ells, u_max), rtol=1e-12)
+        for ell in sorted(set(ells)):
+            for m in range(-ell, ell + 1):
+                for u in range(2, u_max + 1):
+                    f = xi_factors(grid, ell, m, u, 2)
+                    assert_allclose([f.xi, f.xi0], oracle.xi(ell, m, u), rtol=1e-12, atol=1e-24)
+
+    @pytest.mark.parametrize("build", SCHEMES)
+    def test_empty_degree_list(self, build):
+        assert aliased_spectrum(build(8, 2, 5), AngularPowerSpectrum.flat(2, 12), [], 12) == []
 
 
 class TestCircularCovariance:
