@@ -89,19 +89,27 @@ def _parity(degs, s: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.asarray(degs) + s) % 2)
 
 
+def _order_rows(blocks: dict, k: int, sel, negative: bool) -> np.ndarray:
+    """Rows ``sel`` of order -k if ``negative``, else of order k (k >= 0).
+
+    Only orders k >= 0 are stored: order -k reads the block of order k
+    reversed, with the row signs of :func:`_parity` left to the caller.
+    """
+    rows = blocks[k][sel]
+    return rows[:, ::-1] if negative else rows
+
+
 def _weighted_rows(grid: SamplingGrid, s: int, m: int, ells, v: int) -> np.ndarray:
     """Rows W * d^ell_{m,-s} arranged to meet the forward rows of order |v|.
 
-    Order -k reads the block of order k reversed with the row signs of
-    :func:`_parity`, which are left to the caller.  A reversal of the v
-    rows moves onto these rows and the weights, so the (large) v block is
-    never copied: sum_i W_i A_i B_(n-1-i) = sum_i W_(n-1-i) A_(n-1-i) B_i.
+    A reversal of the v rows moves onto these rows and the weights, so the
+    (large) v block is never copied: sum_i W_i A_i B_(n-1-i) =
+    sum_i W_(n-1-i) A_(n-1-i) B_i.  Row signs are left to the caller.
     """
     ells = np.asarray(ells, dtype=int)
     k = abs(m)
-    rows = grid._d_blocks(s, [k], int(ells.max(initial=0)))[k][ells - max(k, s)]
-    if (m < 0) != (v < 0):
-        rows = rows[:, ::-1]
+    blocks = grid._d_blocks(s, [k], int(ells.max(initial=0)))
+    rows = _order_rows(blocks, k, ells - max(k, s), (m < 0) != (v < 0))
     return rows * (grid._weights[::-1] if v < 0 else grid._weights)
 
 

@@ -91,6 +91,7 @@ def _wigner_d_blocks(orders, s: int, top: int, theta) -> list:
     # orders sorted by their first degree: the active ones are a prefix
     by_start = np.argsort(np.maximum(np.abs(ms), s), kind="stable")
     m = ms[by_start]
+    m2 = m * m
     l0 = np.maximum(np.abs(m), s)
     p, q = np.abs(m + s)[:, None], np.abs(m - s)[:, None]
     log_c = [math.lgamma(2 * n + 1) - math.lgamma(i + 1) - math.lgamma(j + 1)
@@ -102,35 +103,25 @@ def _wigner_d_blocks(orders, s: int, top: int, theta) -> list:
     prev = cur.copy()  # an order not yet reached keeps its seed in both rows
     first = np.concatenate(([0], np.cumsum(np.maximum(top - l0 + 1, 0))))
     buf = np.empty((int(first[-1]), theta.size))
-    # step ell advances the active orders, a prefix of k(ell) of them; the
-    # coefficients of every (step, active order) pair are laid out flat, step by step
-    steps = np.arange(int(l0[0]) if m.size else top + 1, top + 1)
-    active = np.searchsorted(l0, steps, side="right")
-    at = np.concatenate(([0], np.cumsum(active)))
-    ell = np.repeat(steps, active)
-    order = np.arange(at[-1]) - np.repeat(at[:-1], active)
-    rows, mi = first[order] + (ell - l0[order]), m[order]
-    a = (ell + 1) * (2 * ell + 1) / np.sqrt(((ell + 1) ** 2 - mi * mi) * ((ell + 1) ** 2 - s * s))
-    # at ell = 0 (s = m = 0) the numerators of B and C are 0: divide by 1, not 0
-    b = -mi * s / np.where(ell > 0, ell * (ell + 1), 1)
-    neg_c = -(np.sqrt((ell * ell - mi * mi) * (ell * ell - s * s))
-              / np.where(ell > 0, ell * (2 * ell + 1), 1))
-    a, b, neg_c = a[:, None], b[:, None], neg_c[:, None]
-    scratch = np.empty_like(cur)
-    at = at.tolist()
-    for n, k in enumerate(active.tolist()):
-        lo, hi = at[n], at[n + 1]
-        now = cur[:k]
-        buf[rows[lo:hi]] = now
-        if n == steps.size - 1:
+    for ell in range(int(l0[0]) if m.size else top + 1, top + 1):
+        k = np.searchsorted(l0, ell, side="right")
+        buf[first[:k] + (ell - l0[:k])] = cur[:k]
+        if ell == top:
             break
+        a = (ell + 1) * (2 * ell + 1) / np.sqrt(
+            ((ell + 1) ** 2 - m2[:k]) * ((ell + 1) ** 2 - s * s))
+        if ell:
+            b = -m[:k] * s / (ell * (ell + 1))
+            c = np.sqrt((ell * ell - m2[:k]) * (ell * ell - s * s)) / (ell * (2 * ell + 1))
+        else:
+            b = c = np.zeros(k)
         # the next row overwrites the previous one in place
-        nxt, step = prev[:k], scratch[:k]
-        nxt *= neg_c[lo:hi]
-        np.subtract(cos_t, b[lo:hi], out=step)
-        step *= now
+        nxt = prev[:k]
+        nxt *= -c[:, None]
+        step = cos_t - b[:, None]
+        step *= cur[:k]
         nxt += step
-        nxt *= a[lo:hi]
+        nxt *= a[:, None]
         prev, cur = cur, prev
     buf.setflags(write=False)
     blocks = [None] * m.size

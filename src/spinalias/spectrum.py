@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _cross_sums, _wraps
+from .aliasing import _cross_sums, _order_rows, _wraps
 from .sampling import SamplingGrid
 from .special import _wigner_d_blocks
 
@@ -95,14 +95,8 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
     return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)
 
 
-def _class_table(blocks: dict, orders: list, rows: list) -> np.ndarray:
-    """Rows of the blocks of ``orders`` up to sign, stacked; ``rows[i]`` selects them in block i.
-
-    Order -k reads the block of order k reversed.  Its row signs
-    (-1)^(deg+s) are left out: the caller only squares the products.
-    """
-    return np.concatenate([blocks[-o][sel][:, ::-1] if o < 0 else blocks[o][sel]
-                           for o, sel in zip(orders, rows)])
+# cap on the cells of the rows x columns product in aliased_spectrum (2 MB)
+_PRODUCT_CELLS = 1 << 18
 
 
 def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u_max: int):
@@ -154,11 +148,21 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
         if not vs:  # no order of the class within u_max
             continue
         row_degs = [degs[degs >= abs(m)] for m in ms]
-        rows = _class_table(blocks, ms, [d - max(abs(m), s) for m, d in zip(ms, row_degs)])
+        rows = np.concatenate([_order_rows(blocks, abs(m), d - max(abs(m), s), m < 0)
+                               for m, d in zip(ms, row_degs)]) * grid._weights
         col_lo = [max(abs(v), s) for v in vs]  # the columns of order v are u = lo .. u_max
-        cols = _class_table(blocks, vs, [slice(u_max + 1 - lo) for lo in col_lo])
+        cols = np.concatenate([_order_rows(blocks, abs(v), slice(u_max + 1 - lo), v < 0)
+                               for v, lo in zip(vs, col_lo)]).T
         col_weight = np.concatenate([weight[lo - s :] for lo in col_lo])
-        squares = ((rows * grid._weights) @ cols.T) ** 2 @ col_weight
+        # the row signs of negative orders drop out in the square; the rows
+        # go through in chunks, so the product stays within _PRODUCT_CELLS
+        squares = np.empty(rows.shape[0])
+        step = max(1, _PRODUCT_CELLS // cols.shape[1])
+        prod = np.empty((min(step, rows.shape[0]), cols.shape[1]))
+        for at in range(0, rows.shape[0], step):
+            chunk = np.matmul(rows[at : at + step], cols, out=prod[: rows.shape[0] - at])
+            chunk *= chunk
+            squares[at : at + step] = chunk @ col_weight
         per_deg += np.bincount(np.searchsorted(degs, np.concatenate(row_degs)), squares,
                                minlength=degs.size)
     return per_deg[np.searchsorted(degs, ell_list)].tolist()

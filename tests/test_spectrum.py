@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from spinalias import (
     xi_factors,
 )
 
+import spinalias.spectrum as spectrum_module
 from _invariants import CellOracle, wigner_d_jacobi
 
 SCHEMES = [build_grid_gauss, build_grid_equiangular]
@@ -191,6 +193,37 @@ class TestAliasedSpectrum:
     @pytest.mark.parametrize("build", SCHEMES)
     def test_empty_degree_list(self, build):
         assert aliased_spectrum(build(8, 2, 5), AngularPowerSpectrum.flat(2, 12), [], 12) == []
+
+    @pytest.mark.parametrize("build", SCHEMES)
+    @pytest.mark.parametrize("cells", [1, 50, 1000])
+    def test_chunked_rows_match_cell_oracle(self, build, cells, monkeypatch):
+        # 1: one row per chunk; 50, 1000: several rows, the last chunk partial
+        monkeypatch.setattr(spectrum_module, "_PRODUCT_CELLS", cells)
+        grid = build(6, 2, 1)
+        rng = np.random.default_rng(cells)
+        spec = AngularPowerSpectrum(2, 14, rng.uniform(0.1, 1.0, 13), rng.uniform(0.1, 1.0, 13))
+        ells = [2, 4, 7, 8]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="u_max=.* may truncate")
+            out = aliased_spectrum(grid, spec, ells, u_max=14)
+        assert_allclose(out, CellOracle(grid, 2).spectrum(spec, ells, 14), rtol=1e-12)
+
+    def test_product_memory_bounded_at_q1(self):
+        # at Q = 1 a class holds about 8.3k rows and 8.3k columns here: the
+        # unchunked product and its square took about 530 MB
+        grid = build_grid_gauss(16, 2, 1)
+        spec = AngularPowerSpectrum.flat(2, 128)
+        ells = list(range(2, 129))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="u_max=.* may truncate")
+            aliased_spectrum(grid, spec, ells, u_max=128)  # build and cache the blocks
+            tracemalloc.start()
+            try:
+                aliased_spectrum(grid, spec, ells, u_max=128)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCircularCovariance:
