@@ -160,7 +160,8 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
         step = max(1, _PRODUCT_CELLS // cols.shape[1])
         prod = np.empty((min(step, rows.shape[0]), cols.shape[1]))
         for at in range(0, rows.shape[0], step):
-            chunk = np.matmul(rows[at : at + step], cols, out=prod[: rows.shape[0] - at])
+            chunk = prod[: min(step, rows.shape[0] - at)]
+            np.matmul(rows[at : at + step], cols, out=chunk)
             chunk *= chunk
             squares[at : at + step] = chunk @ col_weight
         per_deg += np.bincount(np.searchsorted(degs, np.concatenate(row_degs)), squares,
