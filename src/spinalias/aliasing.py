@@ -89,47 +89,46 @@ def _parity(degs, s: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.asarray(degs) + s) % 2)
 
 
-def _order_rows(blocks: dict, k: int, sel, negative: bool) -> np.ndarray:
-    """Rows ``sel`` of order -k if ``negative``, else of order k (k >= 0).
+def _order_rows(blocks: dict, m: int, sel) -> np.ndarray:
+    """Rows ``sel`` of the order-m block (row i holds degree max(|m|, s) + i).
 
-    Only orders k >= 0 are stored: order -k reads the block of order k
+    Only orders m >= 0 are stored: order m < 0 reads the block of order |m|
     reversed, with the row signs of :func:`_parity` left to the caller.
     """
-    rows = blocks[k][sel]
-    return rows[:, ::-1] if negative else rows
+    rows = blocks[abs(m)][sel]
+    return rows[..., ::-1] if m < 0 else rows
 
 
-def _weighted_rows(grid: SamplingGrid, s: int, m: int, ells, v: int) -> np.ndarray:
-    """Rows W * d^ell_{m,-s} arranged to meet the forward rows of order |v|.
+def _class_orders(m: int, top: int, two_q: int) -> range:
+    """The orders v = m (mod 2Q) with |v| <= top, ascending."""
+    return range(m - (top + m) // two_q * two_q, top + 1, two_q)
 
-    A reversal of the v rows moves onto these rows and the weights, so the
-    (large) v block is never copied: sum_i W_i A_i B_(n-1-i) =
-    sum_i W_(n-1-i) A_(n-1-i) B_i.  Row signs are left to the caller.
+
+def _class_columns(blocks: dict, s: int, m: int, u_max: int, two_q: int):
+    """Cells (u, v) with v = m (mod 2Q), max(|v|, s) <= u <= u_max, by v then u.
+
+    Row i of ``cols`` is d^u_{v,-s} over the nodes, without its row sign.
     """
-    ells = np.asarray(ells, dtype=int)
-    k = abs(m)
-    blocks = grid._d_blocks(s, [k], int(ells.max(initial=0)))
-    rows = _order_rows(blocks, k, ells - max(k, s), (m < 0) != (v < 0))
-    return rows * (grid._weights[::-1] if v < 0 else grid._weights)
+    orders = _class_orders(m, u_max, two_q)
+    if not orders:  # no order of the class within u_max
+        width = next(iter(blocks.values())).shape[1]
+        return np.empty(0, int), np.empty(0, int), np.empty((0, width))
+    lows = [max(abs(v), s) for v in orders]
+    u = np.concatenate([np.arange(lo, u_max + 1) for lo in lows])
+    v = np.repeat(orders, [u_max + 1 - lo for lo in lows])
+    cols = np.concatenate([_order_rows(blocks, v, slice(u_max + 1 - lo))
+                           for v, lo in zip(orders, lows)])
+    return u, v, cols
 
 
-def _cross_sums(grid: SamplingGrid, s: int, m: int, ells, v: int, us) -> np.ndarray:
-    """The cross sums I of :func:`i_n` for rows ell in ``ells``, columns u in ``us``."""
-    us = np.asarray(us, dtype=int)
-    k = abs(v)
-    d_v = grid._d_blocks(s, [k], int(us.max(initial=0)))[k][us - max(k, s)]
-    out = _weighted_rows(grid, s, m, ells, v) @ d_v.T
-    if m < 0:
-        out *= _parity(ells, s)[:, None]
-    if v < 0:
-        out *= _parity(us, s)
-    return out
+def _signs(ell, m: int, u, v, s: int):
+    """The row signs of negative orders m and v, applied after the product."""
+    return np.where(np.asarray(v) < 0, _parity(u, s), 1.0) * (_parity(ell, s) if m < 0 else 1.0)
 
 
-def _wraps(m: int, u_max: int, Q: int) -> list:
-    """Longitude wraps (r, v = m + 2rQ) of order m with |v| <= u_max."""
-    two_q = 2 * Q
-    return [(r, m + r * two_q) for r in range(-((u_max + m) // two_q), (u_max - m) // two_q + 1)]
+def _weighted_row(grid: SamplingGrid, blocks: dict, s: int, ell: int, m: int) -> np.ndarray:
+    """W * d^ell_{m,-s} over the nodes, without its row sign."""
+    return _order_rows(blocks, m, ell - max(abs(m), s)) * grid._weights
 
 
 def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
@@ -142,7 +141,9 @@ def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
         raise ValueError(f"need ell >= max(|m|, s): got ({ell}, {m}, {s})")
     if u < max(abs(v), s):
         raise ValueError(f"need u >= max(|v|, s): got ({u}, {v}, {s})")
-    return float(_cross_sums(grid, s, m, [ell], v, [u])[0, 0])
+    blocks = grid._d_blocks(s, {abs(m), abs(v)}, max(ell, u))
+    col = _order_rows(blocks, v, u - max(abs(v), s))
+    return float(_weighted_row(grid, blocks, s, ell, m) @ col * _signs(ell, m, u, v, s))
 
 
 def _kappa(z1, z2):
@@ -179,18 +180,15 @@ def enumerate_aliases(
     if u_max < source.ell:
         raise ValueError(f"need u_max >= ell, got u_max={u_max}, ell={source.ell}")
     ell, m, s = source.ell, source.m, source.s
-    wraps = _wraps(m, u_max, grid.Q)  # r = 0 gives the source order itself
-    grid._d_blocks(s, {abs(v) for _, v in wraps}, u_max)
-    # one product per wrap: a product over all wraps at once sums in another
-    # order and moves tau in the last digit
-    cols = [np.arange(max(abs(v), s), u_max + 1) for _, v in wraps]
-    u = np.concatenate(cols)
-    r = np.repeat([r for r, _ in wraps], [c.size for c in cols])
-    taus = _kappa(ell, u) * np.concatenate(
-        [_cross_sums(grid, s, m, [ell], v, c)[0] for (_, v), c in zip(wraps, cols)])
+    two_q = 2 * grid.Q
+    blocks = grid._d_blocks(s, {abs(v) for v in _class_orders(m, u_max, two_q)}, u_max)
+    u, v, cols = _class_columns(blocks, s, m, u_max, two_q)
+    r = (v - m) // two_q  # r = 0 gives the source order itself
+    row = _weighted_row(grid, blocks, s, ell, m)
+    taus = _kappa(ell, u) * (cols @ row) * _signs(ell, m, u, v, s)
     keep = (np.abs(taus) > INTENSITY_FLOOR) & ((u != ell) | (r != 0))
     u, r, taus = u[keep], r[keep], taus[keep]
-    j, dv = u - ell, 2 * grid.Q * r
+    j, dv = u - ell, two_q * r
     distance = np.array(list(map(math.hypot, j.tolist(), dv.tolist())))
     order = np.lexsort((r, j, distance))
     u, v, j, r, taus, distance = (x[order].tolist() for x in (u, m + dv, j, r, taus, distance))

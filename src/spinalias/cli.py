@@ -118,7 +118,7 @@ def _cmd_alias_map(args) -> int:
             ))
         loc_rows = []
         for name, grid in (("gauss", gj), ("equiangular", ea)):
-            amap = enumerate_aliases(PAPER_SOURCE, grid, u_max=args.umax or 5)
+            amap = enumerate_aliases(PAPER_SOURCE, grid, 5 if args.umax is None else args.umax)
             loc_rows += [(name, e.j, e.r, e.klass.value) for e in amap.entries]
         tables = {
             "tau": (["j", "r", "u", "v", "tau_gauss", "tau_equiangular"], tau_rows),

@@ -100,7 +100,7 @@ def _build_spectrum(rows, origin):
 
 
 def load_spectrum_csv(path) -> AngularPowerSpectrum:
-    """Read an (ell, C_E, C_B) CSV table.
+    """Read an (ell, C_E, C_B) CSV table under the header ``ell,C_E,C_B``.
 
     Raises SpectrumFileError citing the offending row on malformed input.
     """
@@ -111,6 +111,8 @@ def load_spectrum_csv(path) -> AngularPowerSpectrum:
         raise SpectrumFileError(f"{path}: {exc}") from exc
     if not lines:
         raise SpectrumFileError(f"{path}: empty file")
+    if [p.strip() for p in lines[0].split(",")] != ["ell", "C_E", "C_B"]:
+        raise SpectrumFileError(f"{path}: row 1: expected the header ell,C_E,C_B")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue

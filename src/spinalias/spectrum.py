@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _cross_sums, _order_rows, _wraps
+from .aliasing import _class_columns, _class_orders, _order_rows, _weighted_row
 from .sampling import SamplingGrid
 from .special import _wigner_d_blocks
 
@@ -88,10 +88,15 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
     if ell < max(abs(m), s) or ell_prime < s:
         raise ValueError(f"invalid indices (ell={ell}, m={m}, ell'={ell_prime}, s={s})")
     kappa2 = (2 * ell + 1) * (2 * ell_prime + 1) / 4.0
-    squares = {r: _cross_sums(grid, s, m, [ell], v, [ell_prime])[0, 0] ** 2
-               for r, v in _wraps(m, ell_prime, grid.Q)}
-    xi = float(kappa2 * sum(sq for r, sq in squares.items() if r != 0))
-    xi0 = xi + float(kappa2 * squares.get(0, 0.0))
+    two_q = 2 * grid.Q
+    orders = {abs(m)} | {abs(v) for v in _class_orders(m, ell_prime, two_q)}
+    blocks = grid._d_blocks(s, orders, max(ell, ell_prime))
+    u, v, cols = _class_columns(blocks, s, m, ell_prime, two_q)
+    at = u == ell_prime  # one cell per order v; the row signs drop out in the square
+    squares = (cols[at] @ _weighted_row(grid, blocks, s, ell, m)) ** 2
+    r0 = v[at] == m
+    xi = float(kappa2 * squares[~r0].sum())
+    xi0 = xi + float(kappa2 * squares[r0].sum())
     return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)
 
 
@@ -132,28 +137,21 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     degs = np.array(sorted(set(ell_list)))  # np.unique takes milliseconds on its first call
     top = int(degs[-1])
     two_q = 2 * grid.Q
-    # the signed orders m and v of each residue class that occurs
-    classes = {}
-    for m in range(-top, top + 1):
-        classes.setdefault(m % two_q, ([], []))[0].append(m)
-    for v in range(-u_max, u_max + 1):
-        if v % two_q in classes:
-            classes[v % two_q][1].append(v)
-    orders = {abs(v) for _, vs in classes.values() for v in vs}
+    classes = dict.fromkeys(m % two_q for m in range(-top, top + 1))  # those that occur
+    orders = {abs(v) for c in classes for v in _class_orders(c, u_max, two_q)}
     blocks = grid._d_blocks(s, orders | set(range(top + 1)), max(top, u_max))
     # kappa^2 / (2 ell + 1) = (2u + 1) / 4 weights each squared cross sum
     weight = np.array([(2 * u + 1) * spec.total_at(u) for u in range(s, u_max + 1)]) / 4.0
     per_deg = np.zeros(degs.size)
-    for ms, vs in classes.values():
-        if not vs:  # no order of the class within u_max
+    for c in classes:
+        u, _, cols = _class_columns(blocks, s, c, u_max, two_q)
+        if not u.size:  # no order of the class within u_max
             continue
+        ms = _class_orders(c, top, two_q)
         row_degs = [degs[degs >= abs(m)] for m in ms]
-        rows = np.concatenate([_order_rows(blocks, abs(m), d - max(abs(m), s), m < 0)
+        rows = np.concatenate([_order_rows(blocks, m, d - max(abs(m), s))
                                for m, d in zip(ms, row_degs)]) * grid._weights
-        col_lo = [max(abs(v), s) for v in vs]  # the columns of order v are u = lo .. u_max
-        cols = np.concatenate([_order_rows(blocks, abs(v), slice(u_max + 1 - lo), v < 0)
-                               for v, lo in zip(vs, col_lo)]).T
-        col_weight = np.concatenate([weight[lo - s :] for lo in col_lo])
+        cols, col_weight = cols.T, weight[u - s]
         # the row signs of negative orders drop out in the square; the rows
         # go through in chunks, so the product stays within _PRODUCT_CELLS
         squares = np.empty(rows.shape[0])

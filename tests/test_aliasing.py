@@ -224,6 +224,8 @@ class TestEnumerate:
                 assert e.klass is (AliasClass.PRIMARY if e.j > last_secondary
                                    else AliasClass.SECONDARY)
                 assert (e.source, e.j, e.intensity) == (source, e.alias.ell - ell, abs(e.tau))
+                # tau() and the walk agree to rounding in the last digit
+                assert abs(tau(grid, source, e.alias.ell, e.alias.m) - e.tau) <= 1e-15
 
     @pytest.mark.parametrize("build", [build_grid_gauss, build_grid_equiangular])
     def test_benchmark_grid_matches_cell_oracle(self, build):

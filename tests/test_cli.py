@@ -108,6 +108,12 @@ class TestAliasMapCommand:
         assert all(int(row[2]) >= abs(int(row[3])) for row in rows)
         assert len(rows) == {"2": 4, "3": 0}[q]
 
+    def test_paper_example_umax_zero_exit_2(self):
+        # 5 is the default only when --umax is absent
+        code, out, err = run_cli("alias-map", "--paper-example", "--umax", "0")
+        assert (code, out) == (2, "")
+        assert "need u_max >= ell" in err
+
     def test_reproducible_bytes(self):
         a = run_cli("alias-map", "--paper-example", "--Q", "1", "--format", "csv", "--seed", "0")
         b = run_cli("alias-map", "--paper-example", "--Q", "1", "--format", "csv", "--seed", "0")

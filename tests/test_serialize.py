@@ -80,6 +80,7 @@ def test_field_samples_table():
         ("ell,C_E,C_B\n2,0.5\n", "row 2"),
         ("ell,C_E,C_B\n2,0.5,0.5\n4,0.5,0.5\n", "consecutive"),
         ("ell,C_E,C_B\n2,-0.5,0.5\n", "row 2"),
+        ("2,0.5,0.5\n3,0.5,0.5\n", "row 1"),
     ],
 )
 def test_malformed_spectrum_files(tmp_path, content, fragment):

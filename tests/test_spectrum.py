@@ -123,6 +123,11 @@ class TestXiFactors:
         f = xi_factors(empty, 2, 0, 4, 2)
         assert f.xi == 0.0 and f.xi0 == 0.0
 
+    def test_empty_residue_class_gives_zero(self):
+        # no order v = 5 (mod 8) lies within ell' = 2
+        f = xi_factors(build_grid_gauss(16, 2, 4), 5, 5, 2, 2)
+        assert f.xi == 0.0 and f.xi0 == 0.0
+
 
 class TestAliasedSpectrum:
     def test_zero_spectrum(self, grid):
