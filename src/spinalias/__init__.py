@@ -8,7 +8,6 @@ from .aliasing import (
     AliasClass,
     AliasEntry,
     AliasMap,
-    distance_bound_report,
     enumerate_aliases,
     h_q,
     i_n,
@@ -30,11 +29,9 @@ from .fieldsim import (
 from .sampling import (
     SamplingGrid,
     SamplingScheme,
-    SymmetryReport,
     build_grid_equiangular,
     build_grid_gauss,
     gauss_nodes,
-    validate_symmetry,
 )
 from .special import (
     HarmonicIndex,
@@ -62,7 +59,6 @@ __all__ = [
     "SamplingGrid",
     "SamplingScheme",
     "SpinCoefficients",
-    "SymmetryReport",
     "XiFactors",
     "aliased_coefficient",
     "aliased_eb",
@@ -71,7 +67,6 @@ __all__ = [
     "build_grid_equiangular",
     "build_grid_gauss",
     "circular_covariance",
-    "distance_bound_report",
     "enumerate_aliases",
     "gauss_nodes",
     "h_q",
@@ -81,7 +76,6 @@ __all__ = [
     "spin_sph_harm",
     "synthesize",
     "tau",
-    "validate_symmetry",
     "verify_bandlimit",
     "wigner_d",
     "xi_factors",

@@ -27,13 +27,11 @@ __all__ = [
     "AliasClass",
     "AliasEntry",
     "AliasMap",
-    "DistanceReport",
     "INTENSITY_FLOOR",
     "h_q",
     "i_n",
     "tau",
     "enumerate_aliases",
-    "distance_bound_report",
 ]
 
 INTENSITY_FLOOR = 1e-12
@@ -64,14 +62,6 @@ class AliasMap:
     grid: SamplingGrid
     u_max: int
     entries: tuple
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Minimum enumerated alias distance next to its theoretical bound."""
-
-    min_enumerated: float
-    claimed_bound: float
 
 
 def h_q(m: int, v: int, Q: int) -> complex:
@@ -108,11 +98,9 @@ def _class_columns(blocks: dict, s: int, m: int, u_max: int, two_q: int):
     """Cells (u, v) with v = m (mod 2Q), max(|v|, s) <= u <= u_max, by v then u.
 
     Row i of ``cols`` is d^u_{v,-s} over the nodes, without its row sign.
+    The class must hold an order |v| <= u_max.
     """
     orders = _class_orders(m, u_max, two_q)
-    if not orders:  # no order of the class within u_max
-        width = next(iter(blocks.values())).shape[1]
-        return np.empty(0, int), np.empty(0, int), np.empty((0, width))
     lows = [max(abs(v), s) for v in orders]
     u = np.concatenate([np.arange(lo, u_max + 1) for lo in lows])
     v = np.repeat(orders, [u_max + 1 - lo for lo in lows])
@@ -157,6 +145,8 @@ def tau(grid: SamplingGrid, source: HarmonicIndex, u: int, v: int) -> float:
     comb, so the value is kappa * I on the lattice v = m + 2rQ and exactly
     zero elsewhere (the colatitude sum is then skipped entirely).
     """
+    if u < max(abs(v), source.s):
+        raise ValueError(f"need u >= max(|v|, s): got ({u}, {v}, {source.s})")
     if (v - source.m) % (2 * grid.Q) != 0:
         return 0.0
     return float(_kappa(source.ell, u) * i_n(grid, source.ell, source.m, u, v, source.s))
@@ -198,17 +188,3 @@ def enumerate_aliases(
                         klass, taus, map(abs, taus), distance))
     return AliasMap(source=source, grid=grid, u_max=u_max, entries=entries)
 
-
-def distance_bound_report(alias_map: AliasMap) -> DistanceReport:
-    """Minimum enumerated distance next to the closed-form claim.
-
-    The claimed bound sqrt((N-s)^2 + (2N)^2) presumes the nearest
-    surviving alias sits at the first primary degree offset with a full
-    longitude wrap; the enumerated minimum can be smaller (for example
-    the r = 0 primary cells).  Both values are reported side by side.
-    """
-    n, s = alias_map.grid.N, alias_map.grid.s
-    claimed = math.hypot(n - s, 2 * n)
-    if not alias_map.entries:
-        return DistanceReport(math.inf, claimed)
-    return DistanceReport(alias_map.entries[0].distance, claimed)

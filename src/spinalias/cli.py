@@ -57,8 +57,11 @@ def _emit(args, metadata: dict, tables: dict) -> None:
 def _write(args, text: str) -> None:
     """Write ``text`` to ``--out`` if given, else to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -68,6 +71,16 @@ def _metadata(args, command: str, **params) -> dict:
     if getattr(args, "seed", None) is not None:
         meta["seed"] = args.seed
     return meta
+
+
+def _lmax(args, s: int, L_max: int) -> int:
+    """``--lmax`` (default ``L_max``), rejected outside [s, L_max]."""
+    l_max = L_max if args.lmax is None else args.lmax
+    if l_max < s:
+        raise ValueError(f"need --lmax >= s, got --lmax={l_max} < s={s}")
+    if l_max > L_max:
+        raise ValueError(f"need --lmax <= spectrum L_max, got --lmax={l_max} > {L_max}")
+    return l_max
 
 
 def _cmd_grid(args) -> int:
@@ -163,7 +176,7 @@ def _cmd_spectrum_alias(args) -> int:
     grid = _build_grid(args.scheme, args.N, args.s, args.Q)
     if spec.s != args.s:
         raise ValueError(f"spectrum spin {spec.s} != --s {args.s}")
-    l_max = args.lmax if args.lmax is not None else spec.L_max
+    l_max = _lmax(args, args.s, spec.L_max)
     u_max = args.umax if args.umax is not None else spec.L_max
     ells = list(range(args.s, l_max + 1))
     # print only the messages, so stderr does not depend on the install path
@@ -212,9 +225,9 @@ def _cmd_simulate(args) -> int:
         if args.lmax is None:
             raise ValueError("--lmax required with --flat")
         spec = AngularPowerSpectrum.flat(args.s, args.lmax)
+    l_hi = _lmax(args, args.s, spec.L_max)
     grid = _build_grid(args.scheme, args.N, args.s, args.Q)
     l0 = args.L0 if args.L0 is not None else spec.L_max
-    l_hi = args.lmax if args.lmax is not None else spec.L_max
     ells = list(range(args.s, min(l_hi, l0) + 1))
     report = monte_carlo_spectrum(spec, grid, l0, ells, args.nreal, args.seed)
     rows = [

@@ -15,11 +15,9 @@ from .special import _wigner_d_blocks
 __all__ = [
     "SamplingScheme",
     "SamplingGrid",
-    "SymmetryReport",
     "gauss_nodes",
     "build_grid_gauss",
     "build_grid_equiangular",
-    "validate_symmetry",
 ]
 
 
@@ -34,9 +32,9 @@ class SamplingGrid:
 
     ``theta_weights`` are measure weights for both schemes:
     sum_p w_p f(theta_p) approximates int_0^pi f(theta) sin(theta) d(theta).
-    ``phi_weights`` are the uniform trapezoidal weights pi/Q.  Arrays are
-    read-only; the longitude rule must be phi_q = pi q / Q, q < 2Q, with
-    weights pi/Q.
+    The longitude rule follows from Q: ``phi_nodes`` are pi q / Q, q < 2Q,
+    and ``phi_weights`` the uniform trapezoidal weights pi/Q.  Arrays are
+    read-only.
 
     The grid also owns the Wigner-d tables.  They live on ``_nodes``, the
     sorted node set closed under theta -> pi - theta: the grid's nodes
@@ -62,30 +60,23 @@ class SamplingGrid:
     Q: int
     theta_nodes: np.ndarray
     theta_weights: np.ndarray
-    phi_nodes: np.ndarray
-    phi_weights: np.ndarray
+    phi_nodes: np.ndarray = field(init=False)
+    phi_weights: np.ndarray = field(init=False)
     _nodes: np.ndarray = field(init=False, repr=False, compare=False)
     _near: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _d_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        for name in ("theta_nodes", "theta_weights", "phi_nodes", "phi_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.theta_nodes.shape != self.theta_weights.shape:
-            raise ValueError("theta nodes/weights length mismatch")
-        if self.phi_nodes.shape != self.phi_weights.shape:
-            raise ValueError("phi nodes/weights length mismatch")
         # the transforms read the longitude sums as a length-2Q FFT
         phi, w_phi = _phi_rule(self.Q)
-        if self.phi_nodes.shape != phi.shape or max(
-            np.abs(self.phi_nodes - phi).max(), np.abs(self.phi_weights - w_phi).max()
-        ) > 1e-12:
-            raise ValueError("longitude rule must be phi_q = pi*q/Q, q < 2Q, with weights pi/Q")
-        nodes, near, weights = _mirror_closed(self.theta_nodes, self.theta_weights)
-        for name, arr in (("_nodes", nodes), ("_near", near), ("_weights", weights)):
+        theta, w_theta = np.asarray(self.theta_nodes, float), np.asarray(self.theta_weights, float)
+        if theta.shape != w_theta.shape:
+            raise ValueError("theta nodes/weights length mismatch")
+        nodes, near, weights = _mirror_closed(theta, w_theta)
+        for name, arr in (("theta_nodes", theta), ("theta_weights", w_theta),
+                          ("phi_nodes", phi), ("phi_weights", w_phi),
+                          ("_nodes", nodes), ("_near", near), ("_weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -139,12 +130,6 @@ def _mirror_closed(theta: np.ndarray, weights: np.ndarray):
     return nodes, near, on_nodes
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    symmetric: bool
-    max_deviation: float
-
-
 def _phi_rule(Q: int):
     if Q < 1:
         raise ValueError(f"need Q >= 1, got Q={Q}")
@@ -154,13 +139,12 @@ def _phi_rule(Q: int):
     return phi, w
 
 
-def gauss_nodes(n: int, alpha: float = 0.0, beta: float = 0.0):
-    """Nodes and weights of the n-point Gauss-Jacobi rule on [-1, 1].
+def gauss_nodes(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    The rule integrates (1-t)^alpha (1+t)^beta q(t) exactly for
-    polynomials q of degree <= 2n-1.  Built by the Golub-Welsch
-    eigenvalue method from the three-term recurrence coefficients, with
-    numpy's dense symmetric eigensolver.
+    The rule integrates polynomials of degree <= 2n-1 exactly.  Built by
+    the Golub-Welsch eigenvalue method from the Legendre recurrence
+    coefficients, with numpy's dense symmetric eigensolver.
 
     Returns
     -------
@@ -168,31 +152,13 @@ def gauss_nodes(n: int, alpha: float = 0.0, beta: float = 0.0):
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError(f"need alpha, beta > -1, got ({alpha}, {beta})")
-    ab = alpha + beta
-    i = np.arange(n, dtype=float)
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    if n > 1:
-        ii = i[1:]
-        diag[1:] = (beta * beta - alpha * alpha) / (
-            (2.0 * ii + ab) * (2.0 * ii + ab + 2.0)
-        )
-        jj = np.arange(1, n, dtype=float)
-        ssum = 2.0 * jj + ab
-        off = np.sqrt(
-            4.0 * jj * (jj + alpha) * (jj + beta) * (jj + ab)
-            / (ssum * ssum * (ssum * ssum - 1.0))
-        )
-    else:
-        off = np.empty(0)
-    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    # total mass of the weight function: 2^(ab+1) G(alpha+1) G(beta+1) / G(ab+2)
-    mu0 = math.exp((ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
-                   + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
-    # eigh returns the eigenvalues, here the nodes, in increasing order
-    return nodes, mu0 * vecs[0, :] ** 2
+    # j / sqrt(4j^2 - 1) in its Jacobi form; the short form moves last digits
+    jj = np.arange(1, n, dtype=float)
+    ssum = 2.0 * jj
+    off = np.sqrt(4.0 * jj * jj * jj * jj / (ssum * ssum * (ssum * ssum - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    # eigh returns the nodes in increasing order; the weight function has mass 2
+    return nodes, 2.0 * vecs[0, :] ** 2
 
 
 def build_grid_gauss(N: int, s: int, Q: int) -> SamplingGrid:
@@ -218,8 +184,7 @@ def build_grid_gauss(N: int, s: int, Q: int) -> SamplingGrid:
     if theta.size % 2:
         theta[half] = math.pi / 2
     weights = (omega + omega[::-1]) / 2
-    phi, w_phi = _phi_rule(Q)
-    return SamplingGrid(SamplingScheme.GAUSS_JACOBI, N, s, Q, theta, weights, phi, w_phi)
+    return SamplingGrid(SamplingScheme.GAUSS_JACOBI, N, s, Q, theta, weights)
 
 
 def build_grid_equiangular(N: int, s: int, Q: int) -> SamplingGrid:
@@ -246,8 +211,7 @@ def build_grid_equiangular(N: int, s: int, Q: int) -> SamplingGrid:
     # w[p] = (2/n') sin(theta_p) * sum_k sin((2k+1) theta_p) / (2k+1)
     sums = np.sin(np.outer(theta, 2 * k + 1)) @ (1.0 / (2 * k + 1))
     w_theta = (2.0 / nprime) * np.sin(theta) * sums
-    phi, w_phi = _phi_rule(Q)
-    return SamplingGrid(SamplingScheme.EQUIANGULAR, N, s, Q, theta, w_theta, phi, w_phi)
+    return SamplingGrid(SamplingScheme.EQUIANGULAR, N, s, Q, theta, w_theta)
 
 
 def table_weights(grid: SamplingGrid) -> np.ndarray:
@@ -260,21 +224,3 @@ def table_weights(grid: SamplingGrid) -> np.ndarray:
         return grid.theta_weights / np.sin(grid.theta_nodes)
     return grid.theta_weights
 
-
-def validate_symmetry(grid: SamplingGrid) -> SymmetryReport:
-    """Check the mirror symmetry of the colatitude rule about pi/2.
-
-    True iff theta_p + theta_{n-1-p} = pi and the paired weights agree to
-    1e-12, after discarding zero-weight nodes at theta = 0 (which act as
-    their own mirror).
-    """
-    tol = 1e-12
-    keep = ~((np.abs(grid.theta_nodes) <= tol) & (np.abs(grid.theta_weights) <= tol))
-    theta = grid.theta_nodes[keep]
-    w = grid.theta_weights[keep]
-    if theta.size == 0:
-        return SymmetryReport(True, 0.0)
-    dev_nodes = np.abs(theta + theta[::-1] - math.pi)
-    dev_weights = np.abs(w - w[::-1])
-    max_dev = float(max(dev_nodes.max(), dev_weights.max()))
-    return SymmetryReport(max_dev <= tol, max_dev)

@@ -19,8 +19,6 @@ __all__ = [
     "fmt",
     "render_csv",
     "render_json",
-    "field_samples_table",
-    "spectrum_table",
     "load_spectrum_csv",
     "load_spectrum_json",
     "load_spectrum",
@@ -62,27 +60,6 @@ def _jsonify(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
-def field_samples_table(field):
-    """(header, rows) for sampled field values, one row per grid node."""
-    header = ["theta_index", "phi_index", "re", "im"]
-    rows = [
-        (p, q, float(field.values[p, q].real), float(field.values[p, q].imag))
-        for p in range(field.grid.n_theta)
-        for q in range(field.grid.n_phi)
-    ]
-    return header, rows
-
-
-def spectrum_table(spec):
-    """(header, rows) for a power spectrum, one row per multipole."""
-    header = ["ell", "C_E", "C_B"]
-    rows = [
-        (ell, float(spec.C_E[ell - spec.s]), float(spec.C_B[ell - spec.s]))
-        for ell in range(spec.s, spec.L_max + 1)
-    ]
-    return header, rows
 
 
 def _build_spectrum(rows, origin):

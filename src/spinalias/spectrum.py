@@ -88,13 +88,14 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
     if ell < max(abs(m), s) or ell_prime < s:
         raise ValueError(f"invalid indices (ell={ell}, m={m}, ell'={ell_prime}, s={s})")
     kappa2 = (2 * ell + 1) * (2 * ell_prime + 1) / 4.0
-    two_q = 2 * grid.Q
-    orders = {abs(m)} | {abs(v) for v in _class_orders(m, ell_prime, two_q)}
-    blocks = grid._d_blocks(s, orders, max(ell, ell_prime))
-    u, v, cols = _class_columns(blocks, s, m, ell_prime, two_q)
-    at = u == ell_prime  # one cell per order v; the row signs drop out in the square
-    squares = (cols[at] @ _weighted_row(grid, blocks, s, ell, m)) ** 2
-    r0 = v[at] == m
+    orders = _class_orders(m, ell_prime, 2 * grid.Q)
+    if not orders:  # no order of the class within ell'
+        return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=0.0, xi0=0.0)
+    blocks = grid._d_blocks(s, {abs(m)} | {abs(v) for v in orders}, max(ell, ell_prime))
+    # one cell (ell', v) per order; the row signs drop out in the square
+    cols = np.stack([_order_rows(blocks, v, ell_prime - max(abs(v), s)) for v in orders])
+    squares = (cols @ _weighted_row(grid, blocks, s, ell, m)) ** 2
+    r0 = np.array(orders) == m
     xi = float(kappa2 * squares[~r0].sum())
     xi0 = xi + float(kappa2 * squares[r0].sum())
     return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)
@@ -137,7 +138,9 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     degs = np.array(sorted(set(ell_list)))  # np.unique takes milliseconds on its first call
     top = int(degs[-1])
     two_q = 2 * grid.Q
-    classes = dict.fromkeys(m % two_q for m in range(-top, top + 1))  # those that occur
+    # the classes that occur among the rows, in order, if they hold a column
+    classes = [c for c in dict.fromkeys(m % two_q for m in range(-top, top + 1))
+               if _class_orders(c, u_max, two_q)]
     orders = {abs(v) for c in classes for v in _class_orders(c, u_max, two_q)}
     blocks = grid._d_blocks(s, orders | set(range(top + 1)), max(top, u_max))
     # kappa^2 / (2 ell + 1) = (2u + 1) / 4 weights each squared cross sum
@@ -145,8 +148,6 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     per_deg = np.zeros(degs.size)
     for c in classes:
         u, _, cols = _class_columns(blocks, s, c, u_max, two_q)
-        if not u.size:  # no order of the class within u_max
-            continue
         ms = _class_orders(c, top, two_q)
         row_degs = [degs[degs >= abs(m)] for m in ms]
         rows = np.concatenate([_order_rows(blocks, m, d - max(abs(m), s))

@@ -16,7 +16,6 @@ from spinalias import (
     aliased_eb,
     build_grid_equiangular,
     build_grid_gauss,
-    distance_bound_report,
     enumerate_aliases,
     h_q,
     i_n,
@@ -166,6 +165,12 @@ class TestTau:
         for grid in (gj_grid, ea_grid):
             assert tau(grid, HarmonicIndex(2, 0, 2), 3, 1) == 0.0
 
+    @pytest.mark.parametrize("u,v", [(1, 5), (1, 2), (3, 4), (1, 1)])
+    def test_invalid_alias_index_rejected(self, gj_grid, u, v):
+        # rejected whether or not (u, v) lies on the lattice v = m (mod 2Q)
+        with pytest.raises(ValueError, match="need u >= max"):
+            tau(gj_grid, HarmonicIndex(2, 0, 2), u, v)
+
     def test_symmetry_sweep(self):
         assert tau_symmetry_deviation(l_max=8) < 1e-12
 
@@ -293,10 +298,11 @@ class TestEnumerate:
     def test_distance_report(self):
         grid = build_grid_gauss(6, 2, 5)
         amap = enumerate_aliases(HarmonicIndex(2, 0, 2), grid)
-        report = distance_bound_report(amap)
-        # nearest surviving alias is the first even primary offset at r=0
-        assert_allclose(report.min_enumerated, 4.0, rtol=1e-15)
-        assert_allclose(report.claimed_bound, math.hypot(4, 12), rtol=1e-15)
+        # entries are sorted by distance; the nearest surviving alias is the
+        # first even primary offset at r=0, nearer than the first full wrap
+        # at sqrt((N-s)^2 + (2N)^2) = hypot(4, 12)
+        assert amap.entries[0].distance == 4.0
+        assert amap.entries[0].distance < math.hypot(4, 12)
 
 
 class TestAliasedCoefficient:

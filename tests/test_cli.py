@@ -162,6 +162,13 @@ class TestTauCommand:
         expected = tau(grid, HarmonicIndex(2, 0, 2), 2, 2)
         assert float(rows[0][header.index("tau")]) == expected
 
+    @pytest.mark.parametrize("v", ["5", "2"])
+    def test_invalid_alias_index_exit_2(self, v):
+        # v = 5 is off the Q = 1 lattice of m = 0, v = 2 on it
+        code, out, err = run_cli("tau", "--l", "2", "--m", "0", "--u", "1", "--v", v)
+        assert (code, out) == (2, "")
+        assert err == f"error: need u >= max(|v|, s): got (1, {v}, 2)\n"
+
     def test_table_convention(self):
         code, out, _ = run_cli("tau", "--N", "6", "--s", "2", "--Q", "1",
                                "--l", "2", "--m", "0", "--u", "2", "--v", "2",
@@ -250,6 +257,19 @@ class TestSpectrumAliasCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: need u_max >= s, got u_max={umax} < s=2\n"
+
+    @pytest.mark.parametrize("lmax,reason", [
+        ("1", ">= s, got --lmax=1 < s=2"),
+        ("9", "<= spectrum L_max, got --lmax=9 > 8"),
+        ("12", "<= spectrum L_max, got --lmax=12 > 8"),
+    ], ids=["1", "9", "12"])
+    def test_lmax_outside_spectrum_exit_2(self, tmp_path, lmax, reason):
+        spec_file = tmp_path / "flat.csv"
+        self._write_spectrum(spec_file, 2, [(l, 0.5, 0.5) for l in range(2, 9)])
+        code, out, err = run_cli("spectrum-alias", "--spectrum", str(spec_file),
+                                 "--N", "6", "--s", "2", "--Q", "1", "--lmax", lmax)
+        assert (code, out) == (2, "")
+        assert err == f"error: need --lmax {reason}\n"
 
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     def test_non_finite_exit_3(self, tmp_path, suffix):
@@ -343,6 +363,19 @@ class TestSimulateCommand:
                                "--Q", "1", "--nreal", "100")
         assert code == 2
 
+    @pytest.mark.parametrize("lmax,reason", [
+        ("1", ">= s, got --lmax=1 < s=2"),
+        ("9", "<= spectrum L_max, got --lmax=9 > 8"),
+    ], ids=["1", "9"])
+    def test_lmax_outside_spectrum_exit_2(self, tmp_path, lmax, reason):
+        spec_file = tmp_path / "flat.csv"
+        lines = ["ell,C_E,C_B"] + [f"{l},0.5,0.5" for l in range(2, 9)]
+        spec_file.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli("simulate", "--spectrum", str(spec_file), "--lmax", lmax,
+                                 "--N", "6", "--s", "2", "--Q", "1", "--nreal", "100")
+        assert (code, out) == (2, "")
+        assert err == f"error: need --lmax {reason}\n"
+
     def test_json_metadata(self):
         code, out, _ = run_cli("simulate", "--flat", "--lmax", "4", "--s", "2",
                                "--N", "8", "--Q", "5", "--nreal", "100",
@@ -353,6 +386,16 @@ class TestSimulateCommand:
         assert doc["metadata"]["seed"] == 3
         assert doc["metadata"]["parameters"]["generator"] == "pcg64"
         assert len(doc["simulation"]["ell"]) == 3
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exit_2(self, tmp_path, where):
+        target = tmp_path / "nope" / "grid.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli("grid", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestMainEntry:

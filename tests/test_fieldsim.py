@@ -259,6 +259,10 @@ class TestMonteCarlo:
             assert_allclose(report.predicted, [1.0, 1.0, 1.0], rtol=1e-10)
             assert max(abs(z) for z in report.z_scores) < 4.0, grid.scheme
 
+    def test_empty_ell_list_rejected(self, grid):
+        with pytest.raises(ValueError, match="at least one ell"):
+            monte_carlo_spectrum(AngularPowerSpectrum.flat(2, 4), grid, 4, [], 100, seed=0)
+
     def test_determinism(self, grid):
         spec = AngularPowerSpectrum.flat(2, 4)
         r1 = monte_carlo_spectrum(spec, grid, 4, [2, 3], 100, seed=5)

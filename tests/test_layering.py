@@ -3,7 +3,8 @@
 Each module imports only the layers below it, every import is a
 module-level statement, and the Wigner-d table cache is private to the
 grid.  The library has one Wigner-d evaluator, and the test oracles do
-not import it.
+not import it.  Every exported name has a caller outside the tests, or
+is a quantity of the paper.
 """
 
 import ast
@@ -14,6 +15,16 @@ from pathlib import Path
 import spinalias
 
 SRC = Path(spinalias.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# exported without a library or benchmark caller: each is a quantity of the paper
+PAPER_API = {
+    "spin_sph_harm": "the spin-weighted harmonics the coefficients are defined by",
+    "h_q": "the longitude phase sum H, the comb factor of tau",
+    "xi_factors": "the squared-alias transfer factors xi and xi0",
+    "circular_covariance": "the circular covariance of a spin field",
+    "aliased_eb": "the E/B split of an aliased coefficient",
+}
 
 # each module may import only modules earlier in this chain
 CHAIN = ["special", "sampling", "aliasing", "spectrum", "fieldsim"]
@@ -134,3 +145,31 @@ def test_oracles_do_not_import_the_kernel():
         for alias in node.names
     }
     assert imported & {"wigner_d", "spin_sph_harm", "_wigner_d_blocks"} == set()
+
+
+def _referenced(tree) -> set:
+    """Names and attributes a module reads, outside the definitions they name."""
+    out = set()
+    for stmt in tree.body:
+        names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        out |= names
+    return out
+
+
+def test_every_export_has_a_caller():
+    trees = {name: tree for name, tree in _trees().items() if name != "__init__"}
+    exported = {
+        name: ast.literal_eval(stmt.value)
+        for name, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "__all__"
+    }
+    used = set().union(*map(_referenced, trees.values()))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= _referenced(ast.parse(path.read_text()))
+    unused = [f"{module}.{name}" for module, names in exported.items() for name in names
+              if name not in used and name not in PAPER_API]
+    assert unused == []

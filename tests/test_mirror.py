@@ -26,7 +26,6 @@ from spinalias import (
     build_grid_gauss,
     i_n,
     synthesize,
-    validate_symmetry,
 )
 from spinalias.sampling import SamplingGrid, SamplingScheme
 from spinalias.special import _wigner_d_blocks
@@ -35,18 +34,16 @@ from _invariants import spin_sph_harm_jacobi, wigner_d_jacobi
 
 
 def _custom_grid(theta, weights, Q: int) -> SamplingGrid:
-    phi = np.arange(2 * Q) * math.pi / Q
     return SamplingGrid(SamplingScheme.GAUSS_JACOBI, len(theta), 0, Q,
-                        np.asarray(theta), np.asarray(weights), phi, np.full(2 * Q, math.pi / Q))
+                        np.asarray(theta), np.asarray(weights))
 
 
 @st.composite
 def grids(draw, s: int, Q: int = 1, symmetric_only: bool = False):
     """A fresh grid: Gauss, equiangular, or (unless ``symmetric_only``) asymmetric.
 
-    The asymmetric ones are the grid of
-    test_sampling.py::TestValidateSymmetry::test_asymmetric_grid_rejected
-    and a random one, which may repeat a colatitude.
+    The asymmetric ones are the fixed nodes (0.5, 1.0) and a random set,
+    which may repeat a colatitude.
     """
     kinds = ["gauss", "equiangular"] + ([] if symmetric_only else ["fixed", "random"])
     kind = draw(st.sampled_from(kinds))
@@ -78,7 +75,7 @@ def test_node_set_is_mirror_closed(s, data):
     assert np.abs(grid._weights - summed).max() <= 1e-15
     if grid.scheme is SamplingScheme.EQUIANGULAR:
         assert nodes.size == theta.size + 1 and nodes[-1] == math.pi
-    elif validate_symmetry(grid).symmetric:
+    elif np.abs(theta + theta[::-1] - math.pi).max() <= 1e-12:
         assert nodes.size == theta.size
     else:
         assert nodes.size <= 2 * theta.size

@@ -12,9 +12,8 @@ from spinalias import (
     build_grid_equiangular,
     build_grid_gauss,
     gauss_nodes,
-    validate_symmetry,
 )
-from spinalias.sampling import SamplingGrid, table_weights
+from spinalias.sampling import table_weights
 
 from _invariants import gauss_weights_from_derivative
 
@@ -59,17 +58,16 @@ class TestGaussNodes:
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(approx - exact) < 1e-13
 
-    @pytest.mark.parametrize("n,alpha,beta", [(3, 0.0, 0.0), (5, 2.0, 2.0),
-                                              (4, 1.0, 3.0), (8, 0.5, -0.5)])
-    def test_weight_routes_agree(self, n, alpha, beta):
-        nodes, weights = gauss_nodes(n, alpha, beta)
-        alt = gauss_weights_from_derivative(nodes, n, alpha, beta)
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_weight_routes_agree(self, n):
+        nodes, weights = gauss_nodes(n)
+        alt = gauss_weights_from_derivative(nodes, n)
         assert_allclose(weights, alt, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n,alpha,beta", [(4, 0.0, 0.0), (6, 2.0, 2.0), (5, 1.5, 0.5)])
-    def test_against_scipy(self, n, alpha, beta):
-        nodes, weights = gauss_nodes(n, alpha, beta)
-        ref_nodes, ref_weights = roots_jacobi(n, alpha, beta)
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_against_scipy(self, n):
+        nodes, weights = gauss_nodes(n)
+        ref_nodes, ref_weights = roots_jacobi(n, 0.0, 0.0)
         assert_allclose(nodes, ref_nodes, atol=1e-13)
         assert_allclose(weights, ref_weights, rtol=1e-12)
 
@@ -87,8 +85,6 @@ class TestGaussNodes:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             gauss_nodes(0)
-        with pytest.raises(ValueError):
-            gauss_nodes(3, -1.0, 0.0)
 
 
 class TestGaussGrid:
@@ -176,49 +172,37 @@ class TestLongitudeExactness:
             target = 2 * math.pi if k % (2 * Q) == 0 else 0.0
             assert abs(val - target) < 1e-12
 
-    @pytest.mark.parametrize("change", ["shifted", "weights", "count", "Q"])
-    def test_other_longitude_rules_rejected(self, change):
-        # the transforms read the longitude sums as a length-2Q FFT
-        Q = 3
-        phi, w_phi = np.arange(2 * Q) * math.pi / Q, np.full(2 * Q, math.pi / Q)
-        if change == "shifted":
-            phi = phi + 0.1
-        elif change == "weights":
-            w_phi = w_phi * np.linspace(0.5, 1.5, 2 * Q)
-        elif change == "count":
-            phi, w_phi = phi[:-1], w_phi[:-1]
-        else:
-            Q = 2
-        with pytest.raises(ValueError):
-            SamplingGrid(SamplingScheme.GAUSS_JACOBI, 4, 2, Q, np.array([0.5, 1.0]),
-                         np.array([1.0, 1.0]), phi, w_phi)
+
+def _mirror_deviation(grid):
+    """Largest |theta_p + theta_(n-1-p) - pi| and |w_p - w_(n-1-p)|.
+
+    A zero-weight node at theta = 0 is its own mirror and is left out.
+    """
+    theta, w = grid.theta_nodes, grid.theta_weights
+    if theta[0] == 0.0 and w[0] == 0.0:
+        theta, w = theta[1:], w[1:]
+    return max(np.abs(theta + theta[::-1] - math.pi).max(), np.abs(w - w[::-1]).max())
 
 
 class TestValidateSymmetry:
+    """Mirror symmetry of the colatitude rules about pi/2."""
+
     def test_gauss_grid_symmetric(self):
-        report = validate_symmetry(build_grid_gauss(6, 2, 1))
-        assert report.symmetric and report.max_deviation < 1e-12
+        assert _mirror_deviation(build_grid_gauss(6, 2, 1)) < 1e-12
 
     def test_equiangular_grid_symmetric(self):
-        report = validate_symmetry(build_grid_equiangular(6, 2, 1))
-        assert report.symmetric and report.max_deviation < 1e-12
+        assert _mirror_deviation(build_grid_equiangular(6, 2, 1)) < 1e-12
 
     @pytest.mark.parametrize("N,s", [(8, 2), (9, 3), (12, 0)])
     def test_gauss_sweep(self, N, s):
-        assert validate_symmetry(build_grid_gauss(N, s, 1)).symmetric
+        assert _mirror_deviation(build_grid_gauss(N, s, 1)) < 1e-12
 
     def test_gauss_exactly_symmetric(self):
         # mirrored by construction, not left to the eigensolver's rounding
-        asymmetric = [n for n in range(1, 201)
-                      if validate_symmetry(build_grid_gauss(n + 2, 2, 1)).max_deviation != 0.0]
+        asymmetric = []
+        for n in range(1, 201):
+            grid = build_grid_gauss(n + 2, 2, 1)
+            theta, w = grid.theta_nodes, grid.theta_weights
+            if not (np.all(theta + theta[::-1] == math.pi) and np.array_equal(w, w[::-1])):
+                asymmetric.append(n)
         assert asymmetric == []
-
-    def test_asymmetric_grid_rejected(self):
-        grid = SamplingGrid(
-            SamplingScheme.GAUSS_JACOBI, 2, 0, 1,
-            np.array([0.5, 1.0]), np.array([1.0, 1.0]),
-            np.array([0.0, math.pi]), np.array([math.pi, math.pi]),
-        )
-        report = validate_symmetry(grid)
-        assert not report.symmetric
-        assert report.max_deviation > 1.0

@@ -4,21 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinalias import (
-    AngularPowerSpectrum,
-    SpinCoefficients,
-    build_grid_gauss,
-    synthesize,
-)
+from spinalias import AngularPowerSpectrum
 from spinalias.serialize import (
     SpectrumFileError,
-    field_samples_table,
     fmt,
     load_spectrum,
     load_spectrum_json,
     render_csv,
     render_json,
-    spectrum_table,
 )
 
 
@@ -42,9 +35,9 @@ def test_render_json_columns():
 def test_spectrum_csv_roundtrip(tmp_path):
     spec = AngularPowerSpectrum(2, 5, np.array([0.1, 0.2, 0.3, 0.4]),
                                 np.array([1.0, 2.0, 3.0, 4.0]))
-    header, rows = spectrum_table(spec)
     path = tmp_path / "spec.csv"
-    path.write_text(render_csv([(header, rows)]))
+    rows = list(zip(range(2, 6), spec.C_E.tolist(), spec.C_B.tolist()))
+    path.write_text(render_csv([(["ell", "C_E", "C_B"], rows)]))
     loaded = load_spectrum(path)
     assert loaded.s == 2 and loaded.L_max == 5
     assert_allclose(loaded.C_E, spec.C_E)
@@ -53,24 +46,12 @@ def test_spectrum_csv_roundtrip(tmp_path):
 
 def test_spectrum_json_roundtrip(tmp_path):
     spec = AngularPowerSpectrum.flat(1, 4)
-    header, rows = spectrum_table(spec)
     path = tmp_path / "spec.json"
-    path.write_text(render_json({}, {"spectrum": (header, rows)}))
+    rows = list(zip(range(1, 5), spec.C_E.tolist(), spec.C_B.tolist()))
+    path.write_text(render_json({}, {"spectrum": (["ell", "C_E", "C_B"], rows)}))
     loaded = load_spectrum_json(path)
     assert loaded.s == 1 and loaded.L_max == 4
     assert_allclose(loaded.C_total, 1.0)
-
-
-def test_field_samples_table():
-    grid = build_grid_gauss(6, 2, 1)
-    coeffs = SpinCoefficients.zeros(2, 2)
-    coeffs.set(2, 1, 1.0 + 2.0j)
-    field = synthesize(coeffs, grid)
-    header, rows = field_samples_table(field)
-    assert header == ["theta_index", "phi_index", "re", "im"]
-    assert len(rows) == grid.n_theta * grid.n_phi
-    p, q, re, im = rows[3]
-    assert field.values[p, q] == complex(re, im)
 
 
 @pytest.mark.parametrize(

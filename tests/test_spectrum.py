@@ -117,8 +117,7 @@ class TestXiFactors:
     def test_empty_grid_gives_zero(self):
         empty = SamplingGrid(
             SamplingScheme.GAUSS_JACOBI, 6, 2, 1,
-            np.empty(0), np.empty(0), np.array([0.0, math.pi]),
-            np.array([math.pi, math.pi]),
+            np.empty(0), np.empty(0),
         )
         f = xi_factors(empty, 2, 0, 4, 2)
         assert f.xi == 0.0 and f.xi0 == 0.0
