@@ -74,49 +74,22 @@ def h_q(m: int, v: int, Q: int) -> complex:
     return complex(2.0 * math.pi) if (v - m) % (2 * Q) == 0 else 0.0j
 
 
-def _parity(degs, s: int) -> np.ndarray:
-    """(-1)^(deg+s) per degree: the row signs of a negative order."""
-    return 1.0 - 2.0 * ((np.asarray(degs) + s) % 2)
-
-
-def _order_rows(blocks: dict, m: int, sel) -> np.ndarray:
-    """Rows ``sel`` of the order-m block (row i holds degree max(|m|, s) + i).
-
-    Only orders m >= 0 are stored: order m < 0 reads the block of order |m|
-    reversed, with the row signs of :func:`_parity` left to the caller.
-    """
-    rows = blocks[abs(m)][sel]
-    return rows[..., ::-1] if m < 0 else rows
-
-
 def _class_orders(m: int, top: int, two_q: int) -> range:
     """The orders v = m (mod 2Q) with |v| <= top, ascending."""
     return range(m - (top + m) // two_q * two_q, top + 1, two_q)
 
 
-def _class_columns(blocks: dict, s: int, m: int, u_max: int, two_q: int):
+def _class_columns(grid: SamplingGrid, s: int, m: int, u_max: int, two_q: int):
     """Cells (u, v) with v = m (mod 2Q), max(|v|, s) <= u <= u_max, by v then u.
 
-    Row i of ``cols`` is d^u_{v,-s} over the nodes, without its row sign.
-    The class must hold an order |v| <= u_max.
+    Row i of ``cols`` is d^u_{v,-s} over the grid's nodes.  The class must
+    hold an order |v| <= u_max.
     """
     orders = _class_orders(m, u_max, two_q)
     lows = [max(abs(v), s) for v in orders]
     u = np.concatenate([np.arange(lo, u_max + 1) for lo in lows])
     v = np.repeat(orders, [u_max + 1 - lo for lo in lows])
-    cols = np.concatenate([_order_rows(blocks, v, slice(u_max + 1 - lo))
-                           for v, lo in zip(orders, lows)])
-    return u, v, cols
-
-
-def _signs(ell, m: int, u, v, s: int):
-    """The row signs of negative orders m and v, applied after the product."""
-    return np.where(np.asarray(v) < 0, _parity(u, s), 1.0) * (_parity(ell, s) if m < 0 else 1.0)
-
-
-def _weighted_row(grid: SamplingGrid, blocks: dict, s: int, ell: int, m: int) -> np.ndarray:
-    """W * d^ell_{m,-s} over the nodes, without its row sign."""
-    return _order_rows(blocks, m, ell - max(abs(m), s)) * grid._weights
+    return u, v, grid._d_rows(s, [(v, lo, u_max) for v, lo in zip(orders, lows)])
 
 
 def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
@@ -129,9 +102,8 @@ def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
         raise ValueError(f"need ell >= max(|m|, s): got ({ell}, {m}, {s})")
     if u < max(abs(v), s):
         raise ValueError(f"need u >= max(|v|, s): got ({u}, {v}, {s})")
-    blocks = grid._d_blocks(s, {abs(m), abs(v)}, max(ell, u))
-    col = _order_rows(blocks, v, u - max(abs(v), s))
-    return float(_weighted_row(grid, blocks, s, ell, m) @ col * _signs(ell, m, u, v, s))
+    row, col = grid._d_rows(s, [(m, ell, ell), (v, u, u)])
+    return float(row * grid._weights @ col)
 
 
 def _kappa(z1, z2):
@@ -171,11 +143,10 @@ def enumerate_aliases(
         raise ValueError(f"need u_max >= ell, got u_max={u_max}, ell={source.ell}")
     ell, m, s = source.ell, source.m, source.s
     two_q = 2 * grid.Q
-    blocks = grid._d_blocks(s, {abs(v) for v in _class_orders(m, u_max, two_q)}, u_max)
-    u, v, cols = _class_columns(blocks, s, m, u_max, two_q)
+    u, v, cols = _class_columns(grid, s, m, u_max, two_q)
     r = (v - m) // two_q  # r = 0 gives the source order itself
-    row = _weighted_row(grid, blocks, s, ell, m)
-    taus = _kappa(ell, u) * (cols @ row) * _signs(ell, m, u, v, s)
+    (row,) = grid._d_rows(s, [(m, ell, ell)])
+    taus = _kappa(ell, u) * (cols @ (row * grid._weights))
     keep = (np.abs(taus) > INTENSITY_FLOOR) & ((u != ell) | (r != 0))
     u, r, taus = u[keep], r[keep], taus[keep]
     j, dv = u - ell, two_q * r

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 import warnings
 
@@ -66,6 +68,20 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _check_out(path) -> None:
+    """Reject an ``--out`` that cannot be written, before any work is done."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out: {OSError(code, os.strerror(code), path)}")
+
+
 def _metadata(args, command: str, **params) -> dict:
     meta = {"command": command, "version": __version__, "parameters": params}
     if getattr(args, "seed", None) is not None:
@@ -73,14 +89,14 @@ def _metadata(args, command: str, **params) -> dict:
     return meta
 
 
-def _lmax(args, s: int, L_max: int) -> int:
-    """``--lmax`` (default ``L_max``), rejected outside [s, L_max]."""
-    l_max = L_max if args.lmax is None else args.lmax
-    if l_max < s:
-        raise ValueError(f"need --lmax >= s, got --lmax={l_max} < s={s}")
-    if l_max > L_max:
-        raise ValueError(f"need --lmax <= spectrum L_max, got --lmax={l_max} > {L_max}")
-    return l_max
+def _degree(value, flag: str, s: int, L_max: int) -> int:
+    """The degree given as ``flag`` (default ``L_max``), rejected outside [s, L_max]."""
+    deg = L_max if value is None else value
+    if deg < s:
+        raise ValueError(f"need {flag} >= s, got {flag}={deg} < s={s}")
+    if deg > L_max:
+        raise ValueError(f"need {flag} <= spectrum L_max, got {flag}={deg} > {L_max}")
+    return deg
 
 
 def _cmd_grid(args) -> int:
@@ -176,7 +192,7 @@ def _cmd_spectrum_alias(args) -> int:
     grid = _build_grid(args.scheme, args.N, args.s, args.Q)
     if spec.s != args.s:
         raise ValueError(f"spectrum spin {spec.s} != --s {args.s}")
-    l_max = _lmax(args, args.s, spec.L_max)
+    l_max = _degree(args.lmax, "--lmax", args.s, spec.L_max)
     u_max = args.umax if args.umax is not None else spec.L_max
     ells = list(range(args.s, l_max + 1))
     # print only the messages, so stderr does not depend on the install path
@@ -217,17 +233,17 @@ def _cmd_verify_bandlimit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.spectrum:
-        spec = load_spectrum(args.spectrum)
-        if spec.s != args.s:
-            raise ValueError(f"spectrum spin {spec.s} != --s {args.s}")
-    else:
+    if args.flat:
         if args.lmax is None:
             raise ValueError("--lmax required with --flat")
         spec = AngularPowerSpectrum.flat(args.s, args.lmax)
-    l_hi = _lmax(args, args.s, spec.L_max)
+    else:
+        spec = load_spectrum(args.spectrum)
+        if spec.s != args.s:
+            raise ValueError(f"spectrum spin {spec.s} != --s {args.s}")
+    l_hi = _degree(args.lmax, "--lmax", args.s, spec.L_max)
+    l0 = _degree(args.L0, "--L0", args.s, spec.L_max)
     grid = _build_grid(args.scheme, args.N, args.s, args.Q)
-    l0 = args.L0 if args.L0 is not None else spec.L_max
     ells = list(range(args.s, min(l_hi, l0) + 1))
     report = monte_carlo_spectrum(spec, grid, l0, ells, args.nreal, args.seed)
     rows = [
@@ -264,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="emit colatitude/longitude nodes and weights")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--paper-example", action="store_true",
                    help="emit both schemes for the built-in N=6, s=2 example")
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("alias-map", help="enumerate aliases of one coefficient")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--umax", type=int, default=None)
@@ -307,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo aliased-spectrum validation")
     _add_common(p, seed=True)
-    p.add_argument("--spectrum", default=None, help="input CSV/JSON (ell, C_E, C_B)")
-    p.add_argument("--flat", action="store_true", help="use a flat unit spectrum")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spectrum", default=None, help="input CSV/JSON (ell, C_E, C_B)")
+    source.add_argument("--flat", action="store_true", help="use a flat unit spectrum")
     p.add_argument("--L0", type=int, default=None)
     p.add_argument("--lmax", type=int, default=None)
     p.add_argument("--nreal", type=int, default=2000)
@@ -321,6 +338,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except SpectrumFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum
-from .aliasing import _parity
-from .sampling import SamplingGrid, build_grid_gauss
+from .sampling import SamplingGrid, _parity, build_grid_gauss
 from .special import HarmonicIndex
 
 __all__ = [
@@ -77,9 +76,6 @@ class SpinCoefficients:
     def _check(self, ell: int, m: int) -> None:
         if not (self.s <= ell <= self.L_max) or abs(m) > ell:
             raise ValueError(f"index (ell={ell}, m={m}) invalid for s={self.s}, L_max={self.L_max}")
-
-    def copy(self) -> "SpinCoefficients":
-        return SpinCoefficients(self.s, self.L_max, self.values.copy())
 
 
 @dataclass

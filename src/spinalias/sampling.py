@@ -48,10 +48,11 @@ class SamplingGrid:
     order -m reads the reversed block of order m, and only orders
     m >= 0 are stored: one block of rows d^ell_{m,-s},
     ell = max(m, s) .. top, per (m, s), built for the orders and the top
-    degree a call asks for and freed with the grid.  Grids are safe to
-    share across threads: two threads may both build a missing block,
-    and a longer block may replace a shorter one, but readers always see
-    a complete, read-only array.
+    degree a call asks for and freed with the grid.  The transforms read
+    the blocks; the alias analysis reads rows of signed orders through
+    ``_d_rows``.  Grids are safe to share across threads: two threads may
+    both build a missing block, and a longer block may replace a shorter
+    one, but readers always see a complete, read-only array.
     """
 
     scheme: SamplingScheme
@@ -89,7 +90,7 @@ class SamplingGrid:
         return self.phi_nodes.size
 
     def _d_blocks(self, s: int, orders, top: int) -> dict:
-        """Blocks of d^ell_{m,-s} over ``_nodes``, per order m >= 0 in ``orders``.
+        """Blocks of d^ell_{m,-s} over ``_nodes``, per order |m| for m in ``orders``.
 
         Row i of block m holds ell = max(m, s) + i; each block reaches at
         least ``top``.  Blocks are cached on the grid under (m, s); a request
@@ -97,16 +98,41 @@ class SamplingGrid:
         recursion pass over every such order.
         """
         tables = self._d_tables
+        orders = {abs(m) for m in map(int, orders)}
         out = {}
-        for m in map(int, orders):
+        for m in orders:
             block = tables.get((m, s))  # one read: another thread may replace it
             if block is not None and max(m, s) + len(block) > top:
                 out[m] = block
-        stale = sorted({int(m) for m in orders} - out.keys())
+        stale = sorted(orders - out.keys())
         if stale:
             for m, block in zip(stale, _wigner_d_blocks(stale, s, top, self._nodes)):
                 tables[(m, s)] = out[m] = block
         return out
+
+    def _d_rows(self, s: int, cells) -> np.ndarray:
+        """Rows d^u_{v,-s} over ``_nodes``, u = lo .. hi, for each (v, lo, hi) in ``cells``.
+
+        Orders v may have either sign: order -v is the reversed block of
+        order v with row signs (-1)^(u+s).  The rows are stacked in the
+        order of ``cells`` (a list); missing orders are built in one kernel
+        pass up to the largest hi.
+        """
+        blocks = self._d_blocks(s, [v for v, _, _ in cells], max(hi for *_, hi in cells))
+        rows = np.concatenate([blocks[abs(v)][lo - max(abs(v), s) : hi + 1 - max(abs(v), s),
+                                              :: -1 if v < 0 else 1] for v, lo, hi in cells])
+        at = 0
+        for v, lo, hi in cells:
+            if v < 0:  # the rows of odd u + s change sign
+                odd = rows[at + (lo + s + 1) % 2 : at + hi + 1 - lo : 2]
+                np.negative(odd, out=odd)
+            at += hi + 1 - lo
+        return rows
+
+
+def _parity(degs, s: int) -> np.ndarray:
+    """(-1)^(deg+s) per degree: the row signs of a negative order."""
+    return 1.0 - 2.0 * ((np.asarray(degs) + s) % 2)
 
 
 def _mirror_closed(theta: np.ndarray, weights: np.ndarray):

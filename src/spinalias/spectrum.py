@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _class_columns, _class_orders, _order_rows, _weighted_row
+from .aliasing import _class_columns, _class_orders
 from .sampling import SamplingGrid
 from .special import _wigner_d_blocks
 
@@ -91,10 +91,9 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
     orders = _class_orders(m, ell_prime, 2 * grid.Q)
     if not orders:  # no order of the class within ell'
         return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=0.0, xi0=0.0)
-    blocks = grid._d_blocks(s, {abs(m)} | {abs(v) for v in orders}, max(ell, ell_prime))
-    # one cell (ell', v) per order; the row signs drop out in the square
-    cols = np.stack([_order_rows(blocks, v, ell_prime - max(abs(v), s)) for v in orders])
-    squares = (cols @ _weighted_row(grid, blocks, s, ell, m)) ** 2
+    # the source row, then one cell (ell', v) per order
+    rows = grid._d_rows(s, [(m, ell, ell)] + [(v, ell_prime, ell_prime) for v in orders])
+    squares = (rows[1:] @ (rows[0] * grid._weights)) ** 2
     r0 = np.array(orders) == m
     xi = float(kappa2 * squares[~r0].sum())
     xi0 = xi + float(kappa2 * squares[r0].sum())
@@ -137,24 +136,26 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
         return []
     degs = np.array(sorted(set(ell_list)))  # np.unique takes milliseconds on its first call
     top = int(degs[-1])
-    two_q = 2 * grid.Q
+    hi, two_q = max(top, u_max), 2 * grid.Q
     # the classes that occur among the rows, in order, if they hold a column
     classes = [c for c in dict.fromkeys(m % two_q for m in range(-top, top + 1))
                if _class_orders(c, u_max, two_q)]
-    orders = {abs(v) for c in classes for v in _class_orders(c, u_max, two_q)}
-    blocks = grid._d_blocks(s, orders | set(range(top + 1)), max(top, u_max))
+    # one kernel pass for every class read below
+    grid._d_blocks(s, [v for c in classes for v in _class_orders(c, hi, two_q)], hi)
     # kappa^2 / (2 ell + 1) = (2u + 1) / 4 weights each squared cross sum
     weight = np.array([(2 * u + 1) * spec.total_at(u) for u in range(s, u_max + 1)]) / 4.0
+    listed = np.zeros(hi + 1, dtype=bool)
+    listed[degs] = True
     per_deg = np.zeros(degs.size)
     for c in classes:
-        u, _, cols = _class_columns(blocks, s, c, u_max, two_q)
-        ms = _class_orders(c, top, two_q)
-        row_degs = [degs[degs >= abs(m)] for m in ms]
-        rows = np.concatenate([_order_rows(blocks, m, d - max(abs(m), s))
-                               for m, d in zip(ms, row_degs)]) * grid._weights
+        # the rows (ell, m = c) are the class's cells at the listed ell, by m then ell
+        u, _, cols = _class_columns(grid, s, c, hi, two_q)
+        is_row = listed[u]
+        rows, row_degs = cols[is_row] * grid._weights, u[is_row]
+        if hi > u_max:  # the cells beyond u_max hold rows only
+            cols, u = cols[u <= u_max], u[u <= u_max]
         cols, col_weight = cols.T, weight[u - s]
-        # the row signs of negative orders drop out in the square; the rows
-        # go through in chunks, so the product stays within _PRODUCT_CELLS
+        # the rows go through in chunks, so the product stays within _PRODUCT_CELLS
         squares = np.empty(rows.shape[0])
         step = max(1, _PRODUCT_CELLS // cols.shape[1])
         prod = np.empty((min(step, rows.shape[0]), cols.shape[1]))
@@ -163,7 +164,7 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
             np.matmul(rows[at : at + step], cols, out=chunk)
             chunk *= chunk
             squares[at : at + step] = chunk @ col_weight
-        per_deg += np.bincount(np.searchsorted(degs, np.concatenate(row_degs)), squares,
+        per_deg += np.bincount(np.searchsorted(degs, row_degs), squares,
                                minlength=degs.size)
     return per_deg[np.searchsorted(degs, ell_list)].tolist()
 

@@ -14,6 +14,7 @@ from spinalias import (
     tau,
     verify_bandlimit,
 )
+from spinalias import cli
 from spinalias.cli import main
 from spinalias.sampling import table_weights
 
@@ -34,6 +35,10 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called after a parameter error")
 
 
 class TestGridCommand:
@@ -115,8 +120,8 @@ class TestAliasMapCommand:
         assert "need u_max >= ell" in err
 
     def test_reproducible_bytes(self):
-        a = run_cli("alias-map", "--paper-example", "--Q", "1", "--format", "csv", "--seed", "0")
-        b = run_cli("alias-map", "--paper-example", "--Q", "1", "--format", "csv", "--seed", "0")
+        a = run_cli("alias-map", "--paper-example", "--Q", "1", "--format", "csv")
+        b = run_cli("alias-map", "--paper-example", "--Q", "1", "--format", "csv")
         assert a == b
 
     def test_map_matches_library(self):
@@ -376,6 +381,27 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err == f"error: need --lmax {reason}\n"
 
+    @pytest.mark.parametrize("L0,reason", [
+        ("1", ">= s, got --L0=1 < s=2"),
+        ("9", "<= spectrum L_max, got --L0=9 > 8"),
+    ], ids=["1", "9"])
+    def test_L0_outside_spectrum_exit_2(self, monkeypatch, capsys, L0, reason):
+        # rejected before the grid is built
+        monkeypatch.setattr(cli, "_build_grid", _must_not_run)
+        code = main(["simulate", "--flat", "--lmax", "8", "--L0", L0, "--s", "2",
+                     "--N", "6", "--Q", "1", "--nreal", "100"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: need --L0 {reason}\n"
+
+    @pytest.mark.parametrize("source", [[], ["--flat", "--spectrum", "spec.csv"]],
+                             ids=["neither", "both"])
+    def test_one_spectrum_source_required(self, source):
+        code, out, err = run_cli("simulate", *source, "--lmax", "4", "--s", "2",
+                                 "--nreal", "100")
+        assert (code, out) == (2, "")
+        assert "--spectrum" in err and "--flat" in err
+
     def test_json_metadata(self):
         code, out, _ = run_cli("simulate", "--flat", "--lmax", "4", "--s", "2",
                                "--N", "8", "--Q", "5", "--nreal", "100",
@@ -396,6 +422,36 @@ class TestOutPath:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write --out: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    def test_checked_before_the_work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "monte_carlo_spectrum", _must_not_run)
+        target = tmp_path / "nodir" / "x.csv"
+        code = main(["simulate", "--flat", "--lmax", "8", "--nreal", "2000",
+                     "--out", str(target)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --out: [Errno 2] No such file or directory: '{target}'\n"
+
+    def test_not_truncated_when_the_work_fails(self, tmp_path, capsys):
+        target = tmp_path / "kept.csv"
+        target.write_text("kept\n")
+        assert main(["grid", "--N", "2", "--s", "2", "--out", str(target)]) == 2
+        assert target.read_text() == "kept\n"
+        assert capsys.readouterr().err == "error: need N > s, got N=2, s=2\n"
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize("command", ["grid", "alias-map"])
+    def test_commands_without_a_draw_take_no_seed(self, command):
+        code, out, err = run_cli(command, "--seed", "0")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --seed 0" in err
+
+    def test_json_metadata_without_seed(self):
+        code, out, _ = run_cli("grid", "--format", "json")
+        assert code == 0
+        assert "seed" not in json.loads(out)["metadata"]
 
 
 class TestMainEntry:

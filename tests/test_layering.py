@@ -1,8 +1,8 @@
 """The package is a chain of layers: grid -> alias analysis -> field route.
 
 Each module imports only the layers below it, every import is a
-module-level statement, and the Wigner-d table cache is private to the
-grid.  The library has one Wigner-d evaluator, and the test oracles do
+module-level statement, and the Wigner-d table cache and its layout are
+private to the grid.  The library has one Wigner-d evaluator, and the test oracles do
 not import it.  Every exported name has a caller outside the tests, or
 is a quantity of the paper.
 """
@@ -99,6 +99,31 @@ def test_no_import_cycle():
 def test_only_the_grid_touches_its_tables():
     touching = sorted(p.name for p in SRC.glob("*.py") if "_d_tables" in p.read_text())
     assert touching == ["sampling.py"]
+
+
+def test_only_the_grid_knows_the_table_layout():
+    # the alias analysis reads signed rows through SamplingGrid._d_rows; its
+    # one _d_blocks call is aliased_spectrum's prefetch, whose result is dropped
+    trees = _trees()
+    calls = {f"{name}.py:{node.lineno}" for name in ("aliasing", "spectrum")
+             for node in ast.walk(trees[name])
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_d_blocks"}
+    spectrum = next(node for node in trees["spectrum"].body
+                    if getattr(node, "name", None) == "aliased_spectrum")
+    prefetch = {f"spectrum.py:{node.lineno}" for node in ast.walk(spectrum)
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "attr", None) == "_d_blocks"}
+    assert len(prefetch) == 1 and calls == prefetch
+    layout = [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("_order_rows", "_signs", "_weighted_row", "_parity")]
+    assert layout == [("sampling", "_parity")]
+    private = {name: sorted(alias.name for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) and node.module == "aliasing"
+                            for alias in node.names if alias.name.startswith("_"))
+               for name, tree in trees.items()}
+    assert {name: names for name, names in private.items() if names} == {
+        "spectrum": ["_class_columns", "_class_orders"]}
 
 
 def test_import_loads_no_fft_and_no_scipy():

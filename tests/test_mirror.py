@@ -81,26 +81,23 @@ def test_node_set_is_mirror_closed(s, data):
         assert nodes.size <= 2 * theta.size
 
 
-def _parity(degs, s: int) -> np.ndarray:
-    return np.where((np.asarray(degs) + s) % 2, -1.0, 1.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_negative_orders_served_from_the_positive_block(data):
+    # the rows of orders +-m, degrees lo .. L, against the kernel on the grid's nodes
     s = data.draw(st.integers(0, 3), label="s")
     L = data.draw(st.integers(s, 40), label="L")
     m = data.draw(st.integers(0, L), label="m")
+    lo = data.draw(st.integers(max(m, s), L), label="lo")
     grid = data.draw(grids(s), label="grid")
-    block = grid._d_blocks(s, [m], L)[m]
+    rows = grid._d_rows(s, [(-m, lo, L), (m, lo, L)])
     assert list(grid._d_tables) == [(m, s)]
-    degs = np.arange(max(m, s), L + 1)
     (direct_pos,) = _wigner_d_blocks([m], s, L, grid.theta_nodes)
     (direct_neg,) = _wigner_d_blocks([-m], s, L, grid.theta_nodes)
-    served_pos = block[:, grid._near]
-    served_neg = _parity(degs, s)[:, None] * block[:, ::-1][:, grid._near]
-    assert np.abs(served_pos - direct_pos).max(initial=0.0) <= 1e-12
-    assert np.abs(served_neg - direct_neg).max(initial=0.0) <= 1e-12
+    served_neg, served_pos = np.split(rows[:, grid._near], 2)
+    first = lo - max(m, s)
+    assert np.abs(served_pos - direct_pos[first:]).max(initial=0.0) <= 1e-12
+    assert np.abs(served_neg - direct_neg[first:]).max(initial=0.0) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
