@@ -25,7 +25,7 @@ from .sampling import (
     build_grid_gauss,
     table_weights,
 )
-from .serialize import SpectrumFileError, fmt, load_spectrum, render_csv, render_json
+from .serialize import SpectrumFileError, load_spectrum, render_csv, render_json
 from .special import HarmonicIndex
 from .spectrum import AngularPowerSpectrum, aliased_spectrum
 
@@ -105,11 +105,9 @@ def _cmd_grid(args) -> int:
         ea = _table_grid(build_grid_equiangular(PAPER_N, PAPER_S, args.Q))
         rows = []
         for i in range(ea.n_theta):
-            if i < gj.n_theta:
-                rows.append((i, fmt(gj.theta_nodes[i]), fmt(gj.theta_weights[i]),
-                             fmt(ea.theta_nodes[i]), fmt(ea.theta_weights[i])))
-            else:
-                rows.append((i, "", "", fmt(ea.theta_nodes[i]), fmt(ea.theta_weights[i])))
+            # the Gauss rule has fewer nodes: empty cells in CSV, null in JSON
+            gauss = (gj.theta_nodes[i], gj.theta_weights[i]) if i < gj.n_theta else (None, None)
+            rows.append((i, *gauss, ea.theta_nodes[i], ea.theta_weights[i]))
         tables = {
             "nodes": (
                 ["index", "point_gauss", "weight_gauss",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum
-from .sampling import SamplingGrid, _parity, build_grid_gauss
+from .sampling import SamplingGrid, build_grid_gauss
 from .special import HarmonicIndex
 
 __all__ = [
@@ -91,45 +91,19 @@ class FieldSamples:
             raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
 
 
-def _order_scales(L: int, s: int):
-    """Per-degree factors of the orders m >= 0 and m < 0, ell = 0 .. L.
-
-    c_ell = sqrt((2 ell + 1) / (4 pi)) (-1)^s and (-1)^(ell+s) c_ell.
-    """
-    ells = np.arange(L + 1)
-    norms = np.sqrt((2 * ells + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
-    return norms, norms * _parity(ells, s)
+def _norms(L: int, s: int) -> np.ndarray:
+    """Per-degree factors sqrt((2 ell + 1) / (4 pi)) (-1)^s, ell = 0 .. L."""
+    return np.sqrt((2 * np.arange(L + 1) + 1) / (4.0 * math.pi)) * (-1.0 if s % 2 else 1.0)
 
 
 def synthesize(coeffs: SpinCoefficients, grid: SamplingGrid) -> FieldSamples:
     """Evaluate sum_{ell,m} a_{ell,m;s} Y_{ell,m;s} on the grid nodes.
 
-    The colatitude part is one product per order pair +-m with the order
-    |m| block on the grid's mirror-closed nodes: order -m is that block
-    reversed, with sign (-1)^(ell+s) per row.  The longitudes are a
-    length-2Q inverse FFT; orders equal mod 2Q share a bin.
+    Y_{ell,m;s} = sqrt((2 ell + 1) / (4 pi)) (-1)^s d^ell_{m,-s}(theta) e^{i m phi};
+    the grid sums the normalised coefficients over its nodes.
     """
-    L, s, two_q = coeffs.L_max, coeffs.s, 2 * grid.Q
-    # only the orders that carry a coefficient get a table
-    carried = coeffs.values.any(axis=0)
-    orders = np.flatnonzero(carried[L:] | carried[L::-1])
-    blocks = grid._d_blocks(s, orders, L)
-    # rows[i] = re, im of the scaled coefficients of order orders[i], then of its negative
-    pos_scale, neg_scale = _order_scales(L, s)
-    pos = coeffs.values.T[L + orders] * pos_scale
-    neg = coeffs.values.T[L - orders] * neg_scale
-    rows = np.stack([pos.real, pos.imag, neg.real, neg.imag], axis=1)
-    # bins[m mod 2Q, re/im] = the order-m profile over grid._nodes
-    bins = np.zeros((two_q, 2, grid._nodes.size))
-    for i, m in enumerate(orders.tolist()):
-        l0 = max(m, s)
-        profiles = rows[i, :, l0:] @ blocks[m][: L + 1 - l0]
-        bins[m % two_q] += profiles[:2]
-        if m:
-            bins[-m % two_q, :, ::-1] += profiles[2:]
-    field = bins[:, 0, grid._near] + 1j * bins[:, 1, grid._near]
-    values = two_q * np.fft.ifft(field, axis=0).T
-    return FieldSamples(grid=grid, values=values)
+    values = coeffs.values * _norms(coeffs.L_max, coeffs.s)[:, None]
+    return FieldSamples(grid=grid, values=grid._synthesis(coeffs.s, values))
 
 
 def sample_gaussian_coeffs(spec, L0: int, seed) -> SpinCoefficients:
@@ -168,35 +142,14 @@ def analyze(fieldsamples: FieldSamples, s: int, L_max: int) -> SpinCoefficients:
 
     a~_{ell,m} = sum_k w_k T(theta_k, phi_k) conj(Y_{ell,m;s}(theta_k, phi_k))
     with separable weights w_k = w_p^(theta) w_q^(phi), w_p the measure
-    weights: one length-2Q FFT over the longitudes, then one product per
-    order pair +-m with the order |m| block on the grid's mirror-closed
-    nodes, the -m columns reversed.
+    weights.  The grid takes the sums over its nodes; they are scaled here
+    by the norms of Y_{ell,m;s}.
     """
     grid = fieldsamples.grid
     if fieldsamples.values.shape != (grid.n_theta, grid.n_phi):
         raise ValueError("field shape does not match grid")
-    L, two_q = L_max, 2 * grid.Q
-    out = SpinCoefficients.zeros(s, L)
-    # w_p F[p, m mod 2Q] with F = sum_q w_q T(theta_p, phi_q) exp(-i m phi_q),
-    # summed onto the mirror-closed nodes (a flat add.at is numpy's fast path)
-    weighted = np.fft.fft(fieldsamples.values, axis=1)
-    weighted *= grid.phi_weights[0] * grid.theta_weights[:, None]
-    on_nodes = np.zeros((grid._nodes.size, two_q), dtype=complex)
-    slots = grid._near[:, None] * two_q + np.arange(two_q)
-    np.add.at(on_nodes.reshape(-1), slots.ravel(), weighted.ravel())
-    # cols[b] = (re, im) of bin b, then of bin -b reversed: the columns of orders +-m
-    fwd = on_nodes.T
-    bwd = fwd[-np.arange(two_q) % two_q, ::-1]
-    cols = np.stack([fwd.real, fwd.imag, bwd.real, bwd.imag], axis=2)
-    signed = out.values.view(float).reshape(L + 1, 2 * L + 1, 2)
-    for m, block in grid._d_blocks(s, range(L + 1), L).items():
-        l0 = max(m, s)
-        sums = block[: L + 1 - l0] @ cols[m % two_q]
-        signed[l0:, L - m] = sums[:, 2:]
-        signed[l0:, L + m] = sums[:, :2]
-    pos_scale, neg_scale = _order_scales(L, s)
-    out.values[:, L:] *= pos_scale[:, None]
-    out.values[:, :L] *= neg_scale[:, None]
+    out = SpinCoefficients.zeros(s, L_max)
+    out.values[:] = grid._analysis(s, L_max, fieldsamples.values) * _norms(L_max, s)[:, None]
     return out
 
 

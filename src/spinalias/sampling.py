@@ -48,8 +48,9 @@ class SamplingGrid:
     order -m reads the reversed block of order m, and only orders
     m >= 0 are stored: one block of rows d^ell_{m,-s},
     ell = max(m, s) .. top, per (m, s), built for the orders and the top
-    degree a call asks for and freed with the grid.  The transforms read
-    the blocks; the alias analysis reads rows of signed orders through
+    degree a call asks for and freed with the grid.  The grid computes
+    both legs of the transforms over its nodes, ``_synthesis`` and
+    ``_analysis``; the alias analysis reads rows of signed orders through
     ``_d_rows``.  Grids are safe to share across threads: two threads may
     both build a missing block, and a longer block may replace a shorter
     one, but readers always see a complete, read-only array.
@@ -74,6 +75,8 @@ class SamplingGrid:
         theta, w_theta = np.asarray(self.theta_nodes, float), np.asarray(self.theta_weights, float)
         if theta.shape != w_theta.shape:
             raise ValueError("theta nodes/weights length mismatch")
+        if not (np.all((theta >= 0.0) & (theta <= math.pi)) and np.all(np.isfinite(w_theta))):
+            raise ValueError("need theta nodes in [0, pi] and finite theta weights")
         nodes, near, weights = _mirror_closed(theta, w_theta)
         for name, arr in (("theta_nodes", theta), ("theta_weights", w_theta),
                           ("phi_nodes", phi), ("phi_weights", w_phi),
@@ -128,6 +131,66 @@ class SamplingGrid:
                 np.negative(odd, out=odd)
             at += hi + 1 - lo
         return rows
+
+    def _synthesis(self, s: int, a: np.ndarray) -> np.ndarray:
+        """Field values, shape (n_theta, 2Q), of the normalised coefficients ``a``.
+
+        ``a`` is dense, (L+1, 2L+1) with order m in column L + m.  The
+        colatitude part is one product per order pair +-m with the order
+        |m| block: order -m is that block reversed, with sign (-1)^(ell+s)
+        per row.  The longitudes are a length-2Q inverse FFT; orders equal
+        mod 2Q share a bin.
+        """
+        L, two_q = a.shape[0] - 1, 2 * self.Q
+        # only the orders that carry a coefficient get a table
+        carried = a.any(axis=0)
+        orders = np.flatnonzero(carried[L:] | carried[L::-1])
+        blocks = self._d_blocks(s, orders, L)
+        # rows[i] = re, im of the coefficients of order orders[i], then of its negative
+        pos = a.T[L + orders]
+        neg = a.T[L - orders] * _parity(np.arange(L + 1), s)
+        rows = np.stack([pos.real, pos.imag, neg.real, neg.imag], axis=1)
+        # bins[m mod 2Q, re/im] = the order-m profile over _nodes
+        bins = np.zeros((two_q, 2, self._nodes.size))
+        for i, m in enumerate(orders.tolist()):
+            l0 = max(m, s)
+            profiles = rows[i, :, l0:] @ blocks[m][: L + 1 - l0]
+            bins[m % two_q] += profiles[:2]
+            if m:
+                bins[-m % two_q, :, ::-1] += profiles[2:]
+        return two_q * np.fft.ifft(bins[:, 0, self._near] + 1j * bins[:, 1, self._near], axis=0).T
+
+    def _analysis(self, s: int, L: int, values: np.ndarray) -> np.ndarray:
+        """Colatitude sums of the samples ``values``, shape (n_theta, 2Q).
+
+        Returns the dense (L+1, 2L+1) sums
+        sum_k w_k T(theta_k, phi_k) d^ell_{m,-s}(theta_k) exp(-i m phi_k),
+        order m in column L + m, with the sign (-1)^(ell+s) of the mirror
+        already on the columns m < 0: one length-2Q FFT over the
+        longitudes, then one product per order pair +-m with the order |m|
+        block, the -m columns reversed.
+        """
+        two_q = 2 * self.Q
+        # w_p F[p, m mod 2Q] with F = sum_q w_q T(theta_p, phi_q) exp(-i m phi_q),
+        # summed onto the mirror-closed nodes (a flat add.at is numpy's fast path)
+        weighted = np.fft.fft(values, axis=1)
+        weighted *= self.phi_weights[0] * self.theta_weights[:, None]
+        on_nodes = np.zeros((self._nodes.size, two_q), dtype=complex)
+        slots = self._near[:, None] * two_q + np.arange(two_q)
+        np.add.at(on_nodes.reshape(-1), slots.ravel(), weighted.ravel())
+        # cols[b] = (re, im) of bin b, then of bin -b reversed: the columns of orders +-m
+        fwd = on_nodes.T
+        bwd = fwd[-np.arange(two_q) % two_q, ::-1]
+        cols = np.stack([fwd.real, fwd.imag, bwd.real, bwd.imag], axis=2)
+        sums = np.zeros((L + 1, 2 * L + 1), dtype=complex)
+        signed = sums.view(float).reshape(L + 1, 2 * L + 1, 2)
+        for m, block in self._d_blocks(s, range(L + 1), L).items():
+            l0 = max(m, s)
+            part = block[: L + 1 - l0] @ cols[m % two_q]
+            signed[l0:, L - m] = part[:, 2:]
+            signed[l0:, L + m] = part[:, :2]
+        sums[:, :L] *= _parity(np.arange(L + 1), s)[:, None]
+        return sums
 
 
 def _parity(degs, s: int) -> np.ndarray:

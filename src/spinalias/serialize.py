@@ -30,10 +30,10 @@ class SpectrumFileError(Exception):
 
 
 def fmt(value) -> str:
-    """17-significant-digit text for floats; everything else via str."""
+    """17-significant-digit text for floats, "" for None; everything else via str."""
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def render_csv(sections) -> str:
@@ -47,13 +47,23 @@ def render_csv(sections) -> str:
 
 
 def render_json(metadata: dict, tables: dict) -> str:
-    """One JSON document: column arrays per table plus metadata."""
+    """One JSON document: column arrays per table plus metadata.
+
+    Non-finite floats (a NaN ratio, say) are written as null, since
+    JSON has no token for them.
+    """
     doc = {"metadata": metadata}
     for name, (header, rows) in tables.items():
         doc[name] = {
-            col: [row[i] for row in rows] for i, col in enumerate(header)
+            col: [_finite(row[i]) for row in rows] for i, col in enumerate(header)
         }
-    return json.dumps(doc, indent=2, default=_jsonify) + "\n"
+    return json.dumps(doc, indent=2, default=_jsonify, allow_nan=False) + "\n"
+
+
+def _finite(value):
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return None
+    return value
 
 
 def _jsonify(value):

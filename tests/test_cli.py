@@ -17,6 +17,7 @@ from spinalias import (
 from spinalias import cli
 from spinalias.cli import main
 from spinalias.sampling import table_weights
+from spinalias.serialize import fmt
 
 
 def run_cli(*args):
@@ -68,6 +69,21 @@ class TestGridCommand:
                           "point_equiangular", "weight_equiangular"]
         assert len(rows) == 8
         assert rows[4][1] == "" and rows[4][2] == ""
+
+    def test_paper_example_json_numbers(self):
+        # floats and nulls in JSON; the CSV writes the same doubles and empty cells
+        code, out, _ = run_cli("grid", "--paper-example", "--format", "json")
+        assert code == 0
+        table = json.loads(out)["nodes"]
+        gauss = cli._table_grid(build_grid_gauss(6, 2, 1))
+        assert table["point_gauss"] == gauss.theta_nodes.tolist() + [None] * 4
+        assert table["weight_gauss"] == gauss.theta_weights.tolist() + [None] * 4
+        assert all(type(v) is float for v in table["point_equiangular"] + table["weight_equiangular"])
+        code, out, _ = run_cli("grid", "--paper-example")
+        assert code == 0
+        header, rows = parse_csv(out)
+        for i, col in enumerate(header):
+            assert [row[i] for row in rows] == [fmt(v) for v in table[col]]
 
     def test_invalid_parameters_exit_2(self):
         code, _, err = run_cli("grid", "--N", "2", "--s", "2")
@@ -196,6 +212,23 @@ class TestSpectrumAliasCommand:
         header, rows = parse_csv(out)
         col = header.index("C_tilde")
         assert all(float(r[col]) == 0.0 for r in rows)
+
+    def test_zero_multipole_json_is_strict(self, tmp_path):
+        # C_ell = 0 gives no ratio: null in JSON, which has no NaN token; nan in CSV
+        spec_file = tmp_path / "gap.csv"
+        self._write_spectrum(spec_file, 2, [(2, 0.5, 0.5), (3, 0.0, 0.0), (4, 0.5, 0.5)])
+        args = ("spectrum-alias", "--spectrum", str(spec_file), "--N", "6", "--s", "2")
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        code, out, _ = run_cli(*args, "--format", "json")
+        assert code == 0
+        ratio = json.loads(out, parse_constant=reject)["spectrum"]["ratio"]
+        assert ratio[1] is None and all(type(v) is float for v in ratio[::2])
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        assert [row[3] for row in parse_csv(out)[1]][1] == "nan"
 
     def test_bandlimited_ratio_one(self, tmp_path):
         spec_file = tmp_path / "band.csv"

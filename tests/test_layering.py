@@ -102,21 +102,32 @@ def test_only_the_grid_touches_its_tables():
 
 
 def test_only_the_grid_knows_the_table_layout():
-    # the alias analysis reads signed rows through SamplingGrid._d_rows; its
-    # one _d_blocks call is aliased_spectrum's prefetch, whose result is dropped
+    # the field route calls the grid's transforms and the alias analysis reads
+    # signed rows through SamplingGrid._d_rows; outside the grid, _d_blocks
+    # appears once, as aliased_spectrum's prefetch, whose result is dropped
     trees = _trees()
-    calls = {f"{name}.py:{node.lineno}" for name in ("aliasing", "spectrum")
-             for node in ast.walk(trees[name])
-             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_d_blocks"}
+    outside = {name: tree for name, tree in trees.items() if name != "sampling"}
+    stored = {"_nodes", "_near", "_d_tables", "_parity"}
+    reads = [f"{name}.py:{node.lineno}" for name, tree in outside.items()
+             for node in ast.walk(tree)
+             if getattr(node, "attr", None) in stored or getattr(node, "id", None) in stored
+             or isinstance(node, ast.alias) and node.name in stored]
+    assert reads == []
+    transforms = {node.attr for node in ast.walk(trees["fieldsim"])
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and getattr(node.value, "id", None) == "grid"}
+    assert transforms == {"_synthesis", "_analysis"}
+    blocks = {f"{name}.py:{node.lineno}" for name, tree in outside.items()
+              for node in ast.walk(tree) if getattr(node, "attr", None) == "_d_blocks"}
     spectrum = next(node for node in trees["spectrum"].body
                     if getattr(node, "name", None) == "aliased_spectrum")
     prefetch = {f"spectrum.py:{node.lineno}" for node in ast.walk(spectrum)
                 if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
                 and getattr(node.value.func, "attr", None) == "_d_blocks"}
-    assert len(prefetch) == 1 and calls == prefetch
+    assert len(prefetch) == 1 and blocks == prefetch
+    gone = ("_order_rows", "_signs", "_weighted_row", "_order_scales", "_parity")
     layout = [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef)
-              and node.name in ("_order_rows", "_signs", "_weighted_row", "_parity")]
+              if isinstance(node, ast.FunctionDef) and node.name in gone]
     assert layout == [("sampling", "_parity")]
     private = {name: sorted(alias.name for node in ast.walk(tree)
                             if isinstance(node, ast.ImportFrom) and node.module == "aliasing"

@@ -13,7 +13,7 @@ from spinalias import (
     build_grid_gauss,
     gauss_nodes,
 )
-from spinalias.sampling import table_weights
+from spinalias.sampling import SamplingGrid, table_weights
 
 from _invariants import gauss_weights_from_derivative
 
@@ -119,6 +119,21 @@ class TestGaussGrid:
             build_grid_gauss(6, 2, 0)
         with pytest.raises(ValueError):
             build_grid_gauss(6, -1, 1)
+
+
+@pytest.mark.parametrize("theta,weights", [
+    ([0.5, math.nan], [1.0, 1.0]),
+    ([-1e-9, 1.0], [1.0, 1.0]),
+    ([0.5, math.pi + 1e-9], [1.0, 1.0]),
+    ([0.5, 1.0], [1.0, math.nan]),
+    ([0.5, 1.0], [math.inf, 1.0]),
+], ids=["nan-node", "below-0", "above-pi", "nan-weight", "inf-weight"])
+def test_rule_checked_at_build(theta, weights):
+    # a bad rule fails when the grid is built, not at its first table or sum
+    with pytest.raises(ValueError, match=r"need theta nodes in \[0, pi\] and finite theta weights"):
+        SamplingGrid(SamplingScheme.GAUSS_JACOBI, 4, 0, 1, np.array(theta), np.array(weights))
+    # the poles themselves are nodes of the equiangular rule
+    SamplingGrid(SamplingScheme.GAUSS_JACOBI, 4, 0, 1, np.array([0.0, math.pi]), np.ones(2))
 
 
 class TestEquiangularGrid:

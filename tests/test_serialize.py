@@ -20,6 +20,20 @@ def test_fmt_roundtrips_doubles():
         assert float(fmt(x)) == x
 
 
+def test_fmt_none_is_an_empty_cell():
+    assert render_csv([(["a", "b", "c"], [(None, 1, None)])]) == "a,b,c\n,1,\n"
+
+
+def test_render_json_writes_non_finite_as_null():
+    rows = [(1, np.float64("nan")), (2, float("inf")), (3, np.float32("-inf")), (4, 0.5)]
+    text = render_json({}, {"tab": (["a", "b"], rows)})
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    assert json.loads(text, parse_constant=reject)["tab"]["b"] == [None, None, None, 0.5]
+
+
 def test_render_csv_sections():
     text = render_csv([(["a", "b"], [(1, 0.5)]), (["c"], [("x",), ("y",)])])
     assert text == "a,b\n1,0.5\n\nc\nx\ny\n"
