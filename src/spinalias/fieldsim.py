@@ -238,8 +238,8 @@ def monte_carlo_spectrum(
     if n_real < 100:
         raise ValueError(f"need n_real >= 100, got {n_real}")
     ell_list = list(ell_list)
-    if not ell_list:
-        raise ValueError("need at least one ell")
+    if not ell_list or min(ell_list) < spec.s:  # checked before the first draw
+        raise ValueError(f"need at least one ell, each >= s={spec.s}, got {ell_list}")
     children = np.random.SeedSequence(seed).spawn(n_real)
     samples = np.empty((n_real, len(ell_list)))
     for i, child in enumerate(children):

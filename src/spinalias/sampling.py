@@ -75,8 +75,9 @@ class SamplingGrid:
         theta, w_theta = np.asarray(self.theta_nodes, float), np.asarray(self.theta_weights, float)
         if theta.shape != w_theta.shape:
             raise ValueError("theta nodes/weights length mismatch")
-        if not (np.all((theta >= 0.0) & (theta <= math.pi)) and np.all(np.isfinite(w_theta))):
-            raise ValueError("need theta nodes in [0, pi] and finite theta weights")
+        if not (theta.ndim == 1 and np.all((theta >= 0.0) & (theta <= math.pi))
+                and np.all(np.isfinite(w_theta))):
+            raise ValueError("need theta nodes in [0, pi] and finite theta weights, both 1-D")
         nodes, near, weights = _mirror_closed(theta, w_theta)
         for name, arr in (("theta_nodes", theta), ("theta_weights", w_theta),
                           ("phi_nodes", phi), ("phi_weights", w_phi),

@@ -123,13 +123,15 @@ def load_spectrum_json(path) -> AngularPowerSpectrum:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SpectrumFileError(f"{path}: {exc}") from exc
-    table = doc.get("spectrum", doc)
+    table = doc.get("spectrum", doc) if isinstance(doc, dict) else doc
     try:
         ells = [int(v) for v in table["ell"]]
         c_e = [float(v) for v in table["C_E"]]
         c_b = [float(v) for v in table["C_B"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpectrumFileError(f"{path}: missing or malformed columns ({exc})") from exc
+    if any(isinstance(v, bool) or float(v) != ell for v, ell in zip(table["ell"], ells)):
+        raise SpectrumFileError(f"{path}: ell must hold integers, got {table['ell']}")
     if not (len(ells) == len(c_e) == len(c_b)):
         raise SpectrumFileError(f"{path}: column length mismatch")
     return _build_spectrum(list(zip(ells, c_e, c_b)), str(path))

@@ -41,7 +41,7 @@ class HarmonicIndex:
 
 def _check_theta(theta):
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < -_THETA_TOL) or np.any(theta > math.pi + _THETA_TOL):
+    if not np.all((theta >= -_THETA_TOL) & (theta <= math.pi + _THETA_TOL)):  # NaN fails too
         raise ValueError("colatitude outside [0, pi]")
     return np.clip(theta, 0.0, math.pi)
 

@@ -100,10 +100,6 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
     return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)
 
 
-# cap on the cells of the rows x columns product in aliased_spectrum (2 MB)
-_PRODUCT_CELLS = 1 << 18
-
-
 def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u_max: int):
     """Predicted aliased spectrum C~_ell on ``grid``.
 
@@ -114,8 +110,10 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     is truncated at ``u_max``.
 
     The longitude comb couples order m only to the orders v = m (mod 2Q),
-    so the cross sums are evaluated as one product per residue class:
-    the rows (ell, m) of the class against the columns (u, v) of the class.
+    so the cross sums are evaluated per residue class, from the rows
+    (ell, m) and the columns (u, v) of the class: as one rows x columns
+    product, or through the class's nodes x nodes kernel when that costs
+    fewer flops.
     """
     if u_max > spec.L_max:
         raise ValueError(f"need u_max <= spectrum L_max, got {u_max} > {spec.L_max}")
@@ -154,16 +152,15 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
         rows, row_degs = cols[is_row] * grid._weights, u[is_row]
         if hi > u_max:  # the cells beyond u_max hold rows only
             cols, u = cols[u <= u_max], u[u <= u_max]
-        cols, col_weight = cols.T, weight[u - s]
-        # the rows go through in chunks, so the product stays within _PRODUCT_CELLS
-        squares = np.empty(rows.shape[0])
-        step = max(1, _PRODUCT_CELLS // cols.shape[1])
-        prod = np.empty((min(step, rows.shape[0]), cols.shape[1]))
-        for at in range(0, rows.shape[0], step):
-            chunk = prod[: min(step, rows.shape[0] - at)]
-            np.matmul(rows[at : at + step], cols, out=chunk)
-            chunk *= chunk
-            squares[at : at + step] = chunk @ col_weight
+        # per row, the squares summed are r K r^T with the class's node kernel
+        # K = cols^T diag(col_weight) cols; the kernel route is taken when it costs
+        # fewer flops, so the product never holds more cells than rows and cols
+        (R, n), C, col_weight = rows.shape, cols.shape[0], weight[u - s]
+        if n * (R + C) < R * C:  # K is positive semi-definite: clamp its rounding
+            kernel = (cols.T * col_weight) @ cols
+            squares = np.maximum(np.einsum("ij,ij->i", rows @ kernel, rows), 0.0)
+        else:
+            squares = (rows @ cols.T) ** 2 @ col_weight
         per_deg += np.bincount(np.searchsorted(degs, row_degs), squares,
                                minlength=degs.size)
     return per_deg[np.searchsorted(degs, ell_list)].tolist()
@@ -173,10 +170,9 @@ def circular_covariance(spec: AngularPowerSpectrum, theta_psi: float) -> float:
     """Circular covariance sum_ell (2*ell+1)/(4*pi) C_ell d^ell_{s,s}(theta).
 
     d^ell_{s,s} = d^ell_{-s,-s} is the order -s block of the Wigner-d
-    kernel; the sum is truncated at L_max.
+    kernel; the sum is truncated at L_max.  ``theta_psi`` is checked as
+    in ``wigner_d``.
     """
-    if not (0.0 <= theta_psi <= math.pi + 1e-9):
-        raise ValueError("theta outside [0, pi]")
     s = spec.s
     (block,) = _wigner_d_blocks([-s], s, spec.L_max, [theta_psi])
     weights = (2 * np.arange(s, spec.L_max + 1) + 1) * spec.C_total / (4.0 * math.pi)

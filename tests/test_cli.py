@@ -334,6 +334,16 @@ class TestSpectrumAliasCommand:
         assert code == 3
         assert "row 3" in err
 
+    @pytest.mark.parametrize("doc", ["[1, 2, 3]", '{"ell": [2.7, 3.2], "C_E": [1, 1], "C_B": [0, 0]}'],
+                             ids=["not-an-object", "non-integral-ell"])
+    def test_malformed_json_exit_3(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        code, out, err = run_cli("spectrum-alias", "--spectrum", str(bad),
+                                 "--N", "6", "--s", "2", "--Q", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
     def test_missing_file_exit_3(self, tmp_path):
         code, _, err = run_cli("spectrum-alias", "--spectrum", str(tmp_path / "nope.csv"),
                                "--N", "6", "--s", "2", "--Q", "1")

@@ -22,7 +22,7 @@ from spinalias import (
     sample_gaussian_coeffs,
     synthesize,
 )
-from spinalias import spectrum
+from spinalias import fieldsim, spectrum
 
 from _invariants import gaussian_coeffs_loop, spin_sph_harm_jacobi
 
@@ -288,6 +288,14 @@ class TestMonteCarlo:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             monte_carlo_spectrum(AngularPowerSpectrum.flat(2, 8), grid, 8, range(2, 9), 200, seed=0)
+
+    def test_ell_below_spin_rejected_before_drawing(self, grid, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a realization was drawn")
+
+        monkeypatch.setattr(fieldsim, "synthesize", must_not_run)
+        with pytest.raises(ValueError, match="each >= s=2, got \\[1, 2\\]"):
+            monte_carlo_spectrum(AngularPowerSpectrum.flat(2, 8), grid, 8, [1, 2], 2000, seed=0)
 
     def test_n_real_validation(self, grid):
         spec = AngularPowerSpectrum.flat(2, 4)

@@ -127,7 +127,8 @@ class TestGaussGrid:
     ([0.5, math.pi + 1e-9], [1.0, 1.0]),
     ([0.5, 1.0], [1.0, math.nan]),
     ([0.5, 1.0], [math.inf, 1.0]),
-], ids=["nan-node", "below-0", "above-pi", "nan-weight", "inf-weight"])
+    ([[0.9, 2.2]], [[1.0, 1.0]]),
+], ids=["nan-node", "below-0", "above-pi", "nan-weight", "inf-weight", "2-d"])
 def test_rule_checked_at_build(theta, weights):
     # a bad rule fails when the grid is built, not at its first table or sum
     with pytest.raises(ValueError, match=r"need theta nodes in \[0, pi\] and finite theta weights"):

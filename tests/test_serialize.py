@@ -76,10 +76,14 @@ def test_spectrum_json_roundtrip(tmp_path):
         ("ell,C_E,C_B\n2,0.5,0.5\n4,0.5,0.5\n", "consecutive"),
         ("ell,C_E,C_B\n2,-0.5,0.5\n", "row 2"),
         ("2,0.5,0.5\n3,0.5,0.5\n", "row 1"),
+        ("[1, 2, 3]", "malformed columns"),
+        ('{"ell": [2.7, 3.2], "C_E": [1, 1], "C_B": [0, 0]}', "ell must hold integers"),
+        ('{"ell": [true], "C_E": [1], "C_B": [0]}', "ell must hold integers"),
+        ('{"ell": [Infinity], "C_E": [1], "C_B": [0]}', "malformed columns"),
     ],
 )
 def test_malformed_spectrum_files(tmp_path, content, fragment):
-    path = tmp_path / "bad.csv"
+    path = tmp_path / ("bad.json" if content.startswith(("[", "{")) else "bad.csv")
     path.write_text(content)
     with pytest.raises(SpectrumFileError, match=fragment):
         load_spectrum(path)

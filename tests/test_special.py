@@ -236,6 +236,13 @@ class TestWignerD:
         with pytest.raises(ValueError):
             wigner_d(2, 0, 0, 3.5)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, [0.5, math.nan]])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="colatitude"):
+            wigner_d(3, 1, 2, theta)
+        with pytest.raises(ValueError, match="colatitude"):
+            spin_sph_harm(3, 1, 2, theta, 0.0)
+
 
 def both_schemes_nodes(L, s):
     """Gauss and equiangular nodes for band L (the latter has theta = 0

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,13 +18,26 @@ from spinalias import (
     circular_covariance,
     enumerate_aliases,
     verify_bandlimit,
+    wigner_d,
     xi_factors,
 )
 
-import spinalias.spectrum as spectrum_module
 from _invariants import CellOracle, wigner_d_jacobi
 
 SCHEMES = [build_grid_gauss, build_grid_equiangular]
+
+
+def class_routes(grid, ells, u_max, s=2):
+    """The route ``aliased_spectrum`` takes per residue class, from the class's shape.
+
+    R rows (ell, m) at the listed ell, C columns (u, v) with u <= u_max and
+    n mirror-closed nodes: the kernel when n (R + C) < R C, else the product.
+    """
+    two_q, n = 2 * grid.Q, grid._nodes.size
+    rows = Counter(m % two_q for ell in set(ells) for m in range(-ell, ell + 1))
+    cols = Counter(v % two_q for u in range(s, u_max + 1) for v in range(-u, u + 1))
+    return ["kernel" if n * (rows[c] + cols[c]) < rows[c] * cols[c] else "product"
+            for c in rows if cols[c]]
 
 
 @pytest.fixture(scope="module")
@@ -199,22 +213,46 @@ class TestAliasedSpectrum:
         assert aliased_spectrum(build(8, 2, 5), AngularPowerSpectrum.flat(2, 12), [], 12) == []
 
     @pytest.mark.parametrize("build", SCHEMES)
-    @pytest.mark.parametrize("cells", [1, 50, 1000])
-    def test_chunked_rows_match_cell_oracle(self, build, cells, monkeypatch):
-        # 1: one row per chunk; 50, 1000: several rows, the last chunk partial
-        monkeypatch.setattr(spectrum_module, "_PRODUCT_CELLS", cells)
-        grid = build(6, 2, 1)
-        rng = np.random.default_rng(cells)
-        spec = AngularPowerSpectrum(2, 14, rng.uniform(0.1, 1.0, 13), rng.uniform(0.1, 1.0, 13))
-        ells = [2, 4, 7, 8]
+    @pytest.mark.parametrize("route,N,Q,ells,u_max", [
+        ("kernel", 6, 1, [2, 4, 7, 8], 14),
+        ("product", 10, 8, range(2, 8), 7),  # N - s = Q = L + 1, ell, u <= L = 7
+    ], ids=["kernel", "product"])
+    def test_routes_match_cell_oracle(self, build, route, N, Q, ells, u_max):
+        grid = build(N, 2, Q)
+        assert set(class_routes(grid, ells, u_max)) == {route}
+        rng = np.random.default_rng(N)
+        size = u_max - 1
+        spec = AngularPowerSpectrum(2, u_max, rng.uniform(0.1, 1.0, size),
+                                    rng.uniform(0.1, 1.0, size))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="u_max=.* may truncate")
-            out = aliased_spectrum(grid, spec, ells, u_max=14)
-        assert_allclose(out, CellOracle(grid, 2).spectrum(spec, ells, 14), rtol=1e-12)
+            out = aliased_spectrum(grid, spec, ells, u_max=u_max)
+        assert_allclose(out, CellOracle(grid, 2).spectrum(spec, ells, u_max), rtol=1e-12)
+
+    @pytest.mark.parametrize("build", SCHEMES)
+    def test_sparse_spectra_non_negative(self, build):
+        # with N - s = 6 and Q = 4 the cross sums of ell, u <= 5 at v = m vanish,
+        # so one multipole at u = 3 (or 3 and 5) leaves C~_2 and C~_4 (C~_2) at 0
+        grid, ells, u_max = build(8, 2, 4), list(range(2, 13)), 20
+        assert "kernel" in class_routes(grid, ells, u_max)
+        oracle = CellOracle(grid, 2)
+        transfer = np.array([[sum(oracle.xi(ell, m, u)[1] for m in range(-ell, ell + 1))
+                              / (2 * ell + 1) for u in range(2, u_max + 1)] for ell in ells])
+        assert np.all(transfer[[0, 2], 1] < 1e-25) and np.all(transfer[0, [1, 3]] < 1e-25)
+        for multipoles in [[3], [3, 5], [2], [7], [12], [20], [4, 17], [11, 12]]:
+            c_e = np.zeros(u_max - 1)
+            c_e[np.array(multipoles) - 2] = 1.0
+            spec = AngularPowerSpectrum(2, u_max, c_e, np.zeros(u_max - 1))
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message="u_max=.* may truncate")
+                out = np.array(aliased_spectrum(grid, spec, ells, u_max=u_max))
+            expected = transfer @ c_e
+            assert np.all(out >= 0), multipoles
+            assert np.all(np.abs(out - expected) <= 1e-12 * expected + 4e-15 * out.max()), multipoles
 
     def test_product_memory_bounded_at_q1(self):
-        # at Q = 1 a class holds about 8.3k rows and 8.3k columns here: the
-        # unchunked product and its square took about 530 MB
+        # at Q = 1 a class holds about 8.3k rows and 8.3k columns here: their
+        # product and its square would take about 530 MB
         grid = build_grid_gauss(16, 2, 1)
         spec = AngularPowerSpectrum.flat(2, 128)
         ells = list(range(2, 129))
@@ -257,6 +295,19 @@ class TestCircularCovariance:
         spec = AngularPowerSpectrum.flat(0, 2)
         with pytest.raises(ValueError):
             circular_covariance(spec, 4.0)
+
+    @pytest.mark.parametrize("theta", [
+        -1e-12, -2e-9, 0.0, math.pi, math.pi + 1e-10, math.pi + 2e-9, 4.0, math.nan, math.inf,
+    ])
+    def test_accepts_what_wigner_d_accepts(self, theta):
+        spec = AngularPowerSpectrum.flat(2, 4)
+        try:
+            wigner_d(4, 2, 2, theta)
+        except ValueError:
+            with pytest.raises(ValueError, match="colatitude"):
+                circular_covariance(spec, theta)
+        else:
+            assert math.isfinite(circular_covariance(spec, theta))
 
 
 class TestVerifyBandlimit:
