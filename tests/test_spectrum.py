@@ -230,6 +230,23 @@ class TestAliasedSpectrum:
         assert_allclose(out, CellOracle(grid, 2).spectrum(spec, ells, u_max), rtol=1e-12)
 
     @pytest.mark.parametrize("build", SCHEMES)
+    @pytest.mark.parametrize("seed", [1, 50, 1000])
+    def test_chunked_rows_match_cell_oracle(self, build, seed):
+        # the rows of a class taken whole and one degree at a time, on the kernel route
+        grid = build(6, 2, 1)
+        ells = [2, 4, 7, 8]
+        assert set(class_routes(grid, ells, 14)) == {"kernel"}
+        rng = np.random.default_rng(seed)
+        spec = AngularPowerSpectrum(2, 14, rng.uniform(0.1, 1.0, 13), rng.uniform(0.1, 1.0, 13))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="u_max=.* may truncate")
+            out = aliased_spectrum(grid, spec, ells, u_max=14)
+            one_at_a_time = [aliased_spectrum(grid, spec, [ell], u_max=14)[0] for ell in ells]
+        expected = CellOracle(grid, 2).spectrum(spec, ells, 14)
+        assert_allclose(out, expected, rtol=1e-12)
+        assert_allclose(one_at_a_time, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("build", SCHEMES)
     def test_sparse_spectra_non_negative(self, build):
         # with N - s = 6 and Q = 4 the cross sums of ell, u <= 5 at v = m vanish,
         # so one multipole at u = 3 (or 3 and 5) leaves C~_2 and C~_4 (C~_2) at 0
