@@ -74,24 +74,6 @@ def h_q(m: int, v: int, Q: int) -> complex:
     return complex(2.0 * math.pi) if (v - m) % (2 * Q) == 0 else 0.0j
 
 
-def _class_orders(m: int, top: int, two_q: int) -> range:
-    """The orders v = m (mod 2Q) with |v| <= top, ascending."""
-    return range(m - (top + m) // two_q * two_q, top + 1, two_q)
-
-
-def _class_columns(grid: SamplingGrid, s: int, m: int, u_max: int, two_q: int):
-    """Cells (u, v) with v = m (mod 2Q), max(|v|, s) <= u <= u_max, by v then u.
-
-    Row i of ``cols`` is d^u_{v,-s} over the grid's nodes.  The class must
-    hold an order |v| <= u_max.
-    """
-    orders = _class_orders(m, u_max, two_q)
-    lows = [max(abs(v), s) for v in orders]
-    u = np.concatenate([np.arange(lo, u_max + 1) for lo in lows])
-    v = np.repeat(orders, [u_max + 1 - lo for lo in lows])
-    return u, v, grid._d_rows(s, [(v, lo, u_max) for v, lo in zip(orders, lows)])
-
-
 def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
     """Colatitude cross sum sum_p w_p d^ell_{m,-s}(theta_p) d^u_{v,-s}(theta_p).
 
@@ -142,17 +124,16 @@ def enumerate_aliases(
     if u_max < source.ell:
         raise ValueError(f"need u_max >= ell, got u_max={u_max}, ell={source.ell}")
     ell, m, s = source.ell, source.m, source.s
-    two_q = 2 * grid.Q
-    u, v, cols = _class_columns(grid, s, m, u_max, two_q)
-    r = (v - m) // two_q  # r = 0 gives the source order itself
-    (row,) = grid._d_rows(s, [(m, ell, ell)])
-    taus = _kappa(ell, u) * (cols @ (row * grid._weights))
-    keep = (np.abs(taus) > INTENSITY_FLOOR) & ((u != ell) | (r != 0))
-    u, r, taus = u[keep], r[keep], taus[keep]
-    j, dv = u - ell, two_q * r
-    distance = np.array(list(map(math.hypot, j.tolist(), dv.tolist())))
+    ((u, v, cols),) = grid._classes(s, [m], u_max)
+    r = (v - m) // (2 * grid.Q)  # r = 0 gives the source order itself
+    is_source = (u == ell) & (r == 0)
+    taus = _kappa(ell, u) * (cols @ (cols[is_source][0] * grid._weights))
+    keep = (np.abs(taus) > INTENSITY_FLOOR) & ~is_source
+    u, v, r, taus = u[keep], v[keep], r[keep], taus[keep]
+    j = u - ell
+    distance = np.array(list(map(math.hypot, j.tolist(), (v - m).tolist())))
     order = np.lexsort((r, j, distance))
-    u, v, j, r, taus, distance = (x[order].tolist() for x in (u, m + dv, j, r, taus, distance))
+    u, v, j, r, taus, distance = (x[order].tolist() for x in (u, v, j, r, taus, distance))
     last_secondary = grid.N - grid.s - 1
     klass = [AliasClass.PRIMARY if jj > last_secondary else AliasClass.SECONDARY for jj in j]
     entries = tuple(map(AliasEntry, repeat(source), map(HarmonicIndex, u, v, repeat(s)), j, r,

@@ -114,10 +114,10 @@ def sample_gaussian_coeffs(spec, L0: int, seed) -> SpinCoefficients:
     (ell, m); the spin coefficient is a_E + i*a_B.  Deterministic for a
     given seed (PCG64; ``seed`` may be an int or a SeedSequence).
     """
-    if L0 > spec.L_max:
-        raise ValueError(f"need L0 <= spectrum L_max, got L0={L0}, L_max={spec.L_max}")
-    rng = np.random.default_rng(seed)
     s = spec.s
+    if not s <= L0 <= spec.L_max:
+        raise ValueError(f"need s <= L0 <= spectrum L_max, got L0={L0}, s={s}, L_max={spec.L_max}")
+    rng = np.random.default_rng(seed)
     out = SpinCoefficients.zeros(s, L0)
     ells = np.arange(s, L0 + 1)
     sizes = 2 * ells + 1

@@ -51,7 +51,8 @@ class SamplingGrid:
     degree a call asks for and freed with the grid.  The grid computes
     both legs of the transforms over its nodes, ``_synthesis`` and
     ``_analysis``; the alias analysis reads rows of signed orders through
-    ``_d_rows``.  Grids are safe to share across threads: two threads may
+    ``_d_rows`` and whole residue classes v = c (mod 2Q) through
+    ``_classes``.  Grids are safe to share across threads: two threads may
     both build a missing block, and a longer block may replace a shorter
     one, but readers always see a complete, read-only array.
     """
@@ -132,6 +133,23 @@ class SamplingGrid:
                 np.negative(odd, out=odd)
             at += hi + 1 - lo
         return rows
+
+    def _classes(self, s: int, classes, top: int):
+        """Yield (u, v, rows) per residue class c mod 2Q in ``classes``, in order.
+
+        The cells are v = c (mod 2Q), max(|v|, s) <= u <= top, by v then u;
+        ``rows`` are their rows d^u_{v,-s} from ``_d_rows``.  Each class must
+        hold an order |v| <= top; every class's orders are built in one kernel
+        pass before the first class is read.
+        """
+        two_q = 2 * self.Q
+        orders = [range(c - (top + c) // two_q * two_q, top + 1, two_q) for c in classes]
+        self._d_blocks(s, [v for vs in orders for v in vs], top)
+        for vs in orders:
+            lows = [max(abs(v), s) for v in vs]
+            u = np.concatenate([np.arange(lo, top + 1) for lo in lows])
+            v = np.repeat(vs, [top + 1 - lo for lo in lows])
+            yield u, v, self._d_rows(s, [(order, lo, top) for order, lo in zip(vs, lows)])
 
     def _synthesis(self, s: int, a: np.ndarray) -> np.ndarray:
         """Field values, shape (n_theta, 2Q), of the normalised coefficients ``a``.

@@ -118,7 +118,7 @@ def load_spectrum_csv(path) -> AngularPowerSpectrum:
 
 
 def load_spectrum_json(path) -> AngularPowerSpectrum:
-    """Read a spectrum JSON document with ell / C_E / C_B arrays."""
+    """Read a spectrum JSON document with ell / C_E / C_B arrays of JSON numbers."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -130,8 +130,12 @@ def load_spectrum_json(path) -> AngularPowerSpectrum:
         c_b = [float(v) for v in table["C_B"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpectrumFileError(f"{path}: missing or malformed columns ({exc})") from exc
-    if any(isinstance(v, bool) or float(v) != ell for v, ell in zip(table["ell"], ells)):
+    # each value converted, so it is a JSON number, a boolean or a numeric string
+    if any(isinstance(v, (bool, str)) for v in table["ell"]) or ells != table["ell"]:
         raise SpectrumFileError(f"{path}: ell must hold integers, got {table['ell']}")
+    for key in ("C_E", "C_B"):
+        if any(isinstance(v, (bool, str)) for v in table[key]):
+            raise SpectrumFileError(f"{path}: {key} must hold numbers, got {table[key]}")
     if not (len(ells) == len(c_e) == len(c_b)):
         raise SpectrumFileError(f"{path}: column length mismatch")
     return _build_spectrum(list(zip(ells, c_e, c_b)), str(path))

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliasing import _class_columns, _class_orders
 from .sampling import SamplingGrid
 from .special import _wigner_d_blocks
 
@@ -88,13 +87,11 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
     if ell < max(abs(m), s) or ell_prime < s:
         raise ValueError(f"invalid indices (ell={ell}, m={m}, ell'={ell_prime}, s={s})")
     kappa2 = (2 * ell + 1) * (2 * ell_prime + 1) / 4.0
-    orders = _class_orders(m, ell_prime, 2 * grid.Q)
-    if not orders:  # no order of the class within ell'
-        return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=0.0, xi0=0.0)
-    # the source row, then one cell (ell', v) per order
-    rows = grid._d_rows(s, [(m, ell, ell)] + [(v, ell_prime, ell_prime) for v in orders])
-    squares = (rows[1:] @ (rows[0] * grid._weights)) ** 2
-    r0 = np.array(orders) == m
+    # the class up to max(ell, ell') holds the source row and one cell (ell', v) per order
+    ((u, v, rows),) = grid._classes(s, [m], max(ell, ell_prime))
+    at = u == ell_prime
+    squares = (rows[at] @ (rows[(u == ell) & (v == m)][0] * grid._weights)) ** 2
+    r0 = v[at] == m
     xi = float(kappa2 * squares[~r0].sum())
     xi0 = xi + float(kappa2 * squares[r0].sum())
     return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)
@@ -135,19 +132,15 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     degs = np.array(sorted(set(ell_list)))  # np.unique takes milliseconds on its first call
     top = int(degs[-1])
     hi, two_q = max(top, u_max), 2 * grid.Q
-    # the classes that occur among the rows, in order, if they hold a column
-    classes = [c for c in dict.fromkeys(m % two_q for m in range(-top, top + 1))
-               if _class_orders(c, u_max, two_q)]
-    # one kernel pass for every class read below
-    grid._d_blocks(s, [v for c in classes for v in _class_orders(c, hi, two_q)], hi)
+    # the classes that occur among the rows, in order
+    classes = list(dict.fromkeys(m % two_q for m in range(-top, top + 1)))
     # kappa^2 / (2 ell + 1) = (2u + 1) / 4 weights each squared cross sum
     weight = np.array([(2 * u + 1) * spec.total_at(u) for u in range(s, u_max + 1)]) / 4.0
     listed = np.zeros(hi + 1, dtype=bool)
     listed[degs] = True
     per_deg = np.zeros(degs.size)
-    for c in classes:
-        # the rows (ell, m = c) are the class's cells at the listed ell, by m then ell
-        u, _, cols = _class_columns(grid, s, c, hi, two_q)
+    # the rows (ell, m = c) are the class's cells at the listed ell, by m then ell
+    for u, _, cols in grid._classes(s, classes, hi):
         is_row = listed[u]
         rows, row_degs = cols[is_row] * grid._weights, u[is_row]
         if hi > u_max:  # the cells beyond u_max hold rows only

@@ -334,8 +334,11 @@ class TestSpectrumAliasCommand:
         assert code == 3
         assert "row 3" in err
 
-    @pytest.mark.parametrize("doc", ["[1, 2, 3]", '{"ell": [2.7, 3.2], "C_E": [1, 1], "C_B": [0, 0]}'],
-                             ids=["not-an-object", "non-integral-ell"])
+    @pytest.mark.parametrize("doc", [
+        "[1, 2, 3]",
+        '{"ell": [2.7, 3.2], "C_E": [1, 1], "C_B": [0, 0]}',
+        '{"ell": ["2", "3"], "C_E": [true, "0.5"], "C_B": [false, 0]}',
+    ], ids=["not-an-object", "non-integral-ell", "non-numbers"])
     def test_malformed_json_exit_3(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(doc)

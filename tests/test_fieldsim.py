@@ -128,8 +128,12 @@ class TestGaussianDraws:
 
     def test_l0_above_spectrum_rejected(self):
         spec = AngularPowerSpectrum.flat(2, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got L0=6, s=2, L_max=4"):
             sample_gaussian_coeffs(spec, 6, seed=0)
+
+    def test_l0_below_spin_rejected(self):
+        with pytest.raises(ValueError, match="need s <= L0 <= spectrum L_max, got L0=1, s=2"):
+            sample_gaussian_coeffs(AngularPowerSpectrum.flat(2, 8), 1, seed=0)
 
 
 class TestAnalyze:
@@ -296,6 +300,11 @@ class TestMonteCarlo:
         monkeypatch.setattr(fieldsim, "synthesize", must_not_run)
         with pytest.raises(ValueError, match="each >= s=2, got \\[1, 2\\]"):
             monte_carlo_spectrum(AngularPowerSpectrum.flat(2, 8), grid, 8, [1, 2], 2000, seed=0)
+
+    def test_band_below_spin_names_L0(self):
+        spec, grid = AngularPowerSpectrum.flat(2, 8), build_grid_gauss(6, 2, 1)
+        with pytest.raises(ValueError, match="got L0=1, s=2, L_max=8"):
+            monte_carlo_spectrum(spec, grid, 1, [2], 2000, seed=0)
 
     def test_n_real_validation(self, grid):
         spec = AngularPowerSpectrum.flat(2, 4)

@@ -2,9 +2,10 @@
 
 Each module imports only the layers below it, every import is a
 module-level statement, and the Wigner-d table cache and its layout are
-private to the grid.  The library has one Wigner-d evaluator, and the test oracles do
-not import it.  Every exported name has a caller outside the tests, or
-is a quantity of the paper.
+private to the grid, which builds the blocks of one matrix-route call in
+one kernel pass.  The library has one Wigner-d evaluator, and the test
+oracles do not import it.  Every exported name has a caller outside the
+tests, or is a quantity of the paper.
 """
 
 import ast
@@ -12,7 +13,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spinalias
+from spinalias import (AngularPowerSpectrum, HarmonicIndex, aliased_spectrum,
+                       build_grid_equiangular, build_grid_gauss, enumerate_aliases, sampling,
+                       xi_factors)
 
 SRC = Path(spinalias.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -103,11 +109,10 @@ def test_only_the_grid_touches_its_tables():
 
 def test_only_the_grid_knows_the_table_layout():
     # the field route calls the grid's transforms and the alias analysis reads
-    # signed rows through SamplingGrid._d_rows; outside the grid, _d_blocks
-    # appears once, as aliased_spectrum's prefetch, whose result is dropped
+    # signed rows and residue classes through SamplingGrid._d_rows and _classes
     trees = _trees()
     outside = {name: tree for name, tree in trees.items() if name != "sampling"}
-    stored = {"_nodes", "_near", "_d_tables", "_parity"}
+    stored = {"_nodes", "_near", "_d_tables", "_parity", "_d_blocks"}
     reads = [f"{name}.py:{node.lineno}" for name, tree in outside.items()
              for node in ast.walk(tree)
              if getattr(node, "attr", None) in stored or getattr(node, "id", None) in stored
@@ -117,24 +122,39 @@ def test_only_the_grid_knows_the_table_layout():
                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and getattr(node.value, "id", None) == "grid"}
     assert transforms == {"_synthesis", "_analysis"}
-    blocks = {f"{name}.py:{node.lineno}" for name, tree in outside.items()
-              for node in ast.walk(tree) if getattr(node, "attr", None) == "_d_blocks"}
-    spectrum = next(node for node in trees["spectrum"].body
-                    if getattr(node, "name", None) == "aliased_spectrum")
-    prefetch = {f"spectrum.py:{node.lineno}" for node in ast.walk(spectrum)
-                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
-                and getattr(node.value.func, "attr", None) == "_d_blocks"}
-    assert len(prefetch) == 1 and blocks == prefetch
-    gone = ("_order_rows", "_signs", "_weighted_row", "_order_scales", "_parity")
+    gone = ("_order_rows", "_signs", "_weighted_row", "_order_scales", "_parity",
+            "_class_orders", "_class_columns")
     layout = [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef) and node.name in gone]
     assert layout == [("sampling", "_parity")]
-    private = {name: sorted(alias.name for node in ast.walk(tree)
-                            if isinstance(node, ast.ImportFrom) and node.module == "aliasing"
-                            for alias in node.names if alias.name.startswith("_"))
-               for name, tree in trees.items()}
-    assert {name: names for name, names in private.items() if names} == {
-        "spectrum": ["_class_columns", "_class_orders"]}
+    private = [f"{name}.py:{node.lineno}" for name, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "aliasing"
+               and any(alias.name.startswith("_") for alias in node.names)]
+    assert private == []
+
+
+@pytest.mark.parametrize("build", [build_grid_gauss, build_grid_equiangular])
+@pytest.mark.parametrize("Q,orders", [(1, (49, 30, 15)), (5, (49, 12, 6)), (8, (49, 7, 4))])
+def test_each_matrix_route_call_is_one_kernel_pass(monkeypatch, build, Q, orders):
+    # the per-class reads of a call share one kernel pass over all its orders
+    passes = []
+
+    def counted(order_list, *args):
+        passes.append(len(order_list))
+        return kernel(order_list, *args)
+
+    kernel = sampling._wigner_d_blocks
+    monkeypatch.setattr(sampling, "_wigner_d_blocks", counted)
+    calls = [
+        lambda grid: aliased_spectrum(grid, AngularPowerSpectrum.flat(2, 48), range(2, 17), 48),
+        lambda grid: enumerate_aliases(HarmonicIndex(7, -3, 2), grid, u_max=60),
+        lambda grid: xi_factors(grid, 7, -3, 30, 2),
+    ]
+    for call, count in zip(calls, orders):
+        passes.clear()
+        call(build(16, 2, Q))
+        assert passes == [count]
 
 
 def test_import_loads_no_fft_and_no_scipy():

@@ -80,6 +80,11 @@ def test_spectrum_json_roundtrip(tmp_path):
         ('{"ell": [2.7, 3.2], "C_E": [1, 1], "C_B": [0, 0]}', "ell must hold integers"),
         ('{"ell": [true], "C_E": [1], "C_B": [0]}', "ell must hold integers"),
         ('{"ell": [Infinity], "C_E": [1], "C_B": [0]}', "malformed columns"),
+        ('{"ell": ["2", "3"], "C_E": [1, 1], "C_B": [0, 0]}', "ell must hold integers"),
+        ('{"ell": [2, 3], "C_E": [true, 0.5], "C_B": [0, 0]}', "C_E must hold numbers"),
+        ('{"ell": [2, 3], "C_E": [1, "0.5"], "C_B": [0, 0]}', "C_E must hold numbers"),
+        ('{"ell": [2, 3], "C_E": [1, 1], "C_B": [false, 0]}', "C_B must hold numbers"),
+        ('{"ell": [2, 3], "C_E": [1, 1], "C_B": ["0", 0]}', "C_B must hold numbers"),
     ],
 )
 def test_malformed_spectrum_files(tmp_path, content, fragment):
