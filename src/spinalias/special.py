@@ -82,6 +82,15 @@ def _wigner_d_blocks(orders, s: int, top: int, theta) -> list:
     d^1_{0,0} = cos(theta).  Returns one read-only (rows x nodes) array
     per order, in the order given; an order with ell0 > top gets zero
     rows.  The arrays are views of one buffer.
+
+    With the orders sorted by ell0, the orders active at step ell are a
+    prefix.  A, B and C are tabled before the loop for every (step,
+    active order) pair, step-major, one triple per output row, so a step
+    reads one contiguous slice and runs in place in preallocated rows.
+    The table evaluates the same integers and the same float operations
+    as a per-step evaluation, and the step keeps the order
+    A ((cos(theta) - B) d^ell - C d^{ell-1}), so every row is the same to
+    the bit.
     """
     if s < 0:
         raise ValueError(f"spin weight must be >= 0, got s={s}")
@@ -91,37 +100,47 @@ def _wigner_d_blocks(orders, s: int, top: int, theta) -> list:
     # orders sorted by their first degree: the active ones are a prefix
     by_start = np.argsort(np.maximum(np.abs(ms), s), kind="stable")
     m = ms[by_start]
-    m2 = m * m
     l0 = np.maximum(np.abs(m), s)
     p, q = np.abs(m + s)[:, None], np.abs(m - s)[:, None]
     log_c = [math.lgamma(2 * n + 1) - math.lgamma(i + 1) - math.lgamma(j + 1)
-             for n, i, j in zip(l0, p.flat, q.flat)]
+             for n, i, j in zip(l0.tolist(), p.ravel().tolist(), q.ravel().tolist())]
     with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 at theta = 0: 0 log 0 = 0
         log_sin = np.where(p > 0, p * np.log(np.sin(theta / 2)), 0.0)
     sign = np.where((m < -s) & ((m + s) % 2 == 1), -1.0, 1.0)[:, None]
-    cur = sign * np.exp(0.5 * np.c_[log_c] + log_sin + q * np.log(np.cos(theta / 2)))
+    cur = sign * np.exp(0.5 * np.array(log_c)[:, None] + log_sin + q * np.log(np.cos(theta / 2)))
     prev = cur.copy()  # an order not yet reached keeps its seed in both rows
     first = np.concatenate(([0], np.cumsum(np.maximum(top - l0 + 1, 0))))
+    # the (step, active order) pairs, step-major: step ell holds the prefix of
+    # orders with l0 <= ell, one pair per output row
+    start = int(l0[0]) if m.size else top + 1
+    ells = np.arange(start, top + 1)
+    active = np.searchsorted(l0, ells, side="right")
+    step, order = np.nonzero(l0 <= ells[:, None])
+    ell, m_at = ells[step], m[order]
+    dest = (first[:-1] - l0)[order] + ell
+    # the same integers and float operations as a per-step evaluation, so every row
+    # keeps its bits; at ell = 0 (s = m = 0) B and C are 0/0: a denominator of 1 gives 0
+    e, width, m2 = ell + 1, 2 * ell + 1, m_at * m_at
+    a = e * width / np.sqrt((e * e - m2) * (e * e - s * s))
+    b = -m_at * s / np.maximum(ell * e, 1)
+    neg_c = -np.sqrt((ell * ell - m2) * (ell * ell - s * s)) / np.maximum(ell * width, 1)
+    a, b, neg_c = a[:, None], b[:, None], neg_c[:, None]  # columns: one per row of a step
+    del step, order, ell, m_at, e, width, m2  # freed before the rows, to keep the peak down
     buf = np.empty((int(first[-1]), theta.size))
-    for ell in range(int(l0[0]) if m.size else top + 1, top + 1):
-        k = np.searchsorted(l0, ell, side="right")
-        buf[first[:k] + (ell - l0[:k])] = cur[:k]
+    scratch = np.empty_like(cur)
+    hi = 0
+    for ell, k in zip(range(start, top + 1), active.tolist()):
+        lo, hi = hi, hi + k
+        buf[dest[lo:hi]] = cur[:k]
         if ell == top:
             break
-        a = (ell + 1) * (2 * ell + 1) / np.sqrt(
-            ((ell + 1) ** 2 - m2[:k]) * ((ell + 1) ** 2 - s * s))
-        if ell:
-            b = -m[:k] * s / (ell * (ell + 1))
-            c = np.sqrt((ell * ell - m2[:k]) * (ell * ell - s * s)) / (ell * (2 * ell + 1))
-        else:
-            b = c = np.zeros(k)
-        # the next row overwrites the previous one in place
-        nxt = prev[:k]
-        nxt *= -c[:, None]
-        step = cos_t - b[:, None]
-        step *= cur[:k]
-        nxt += step
-        nxt *= a[:, None]
+        # d^{ell+1} = A ((cos - B) d^ell - C d^{ell-1}) overwrites d^{ell-1} in place
+        nxt, tmp = prev[:k], scratch[:k]
+        nxt *= neg_c[lo:hi]
+        np.subtract(cos_t, b[lo:hi], out=tmp)
+        tmp *= cur[:k]
+        nxt += tmp
+        nxt *= a[lo:hi]
         prev, cur = cur, prev
     buf.setflags(write=False)
     blocks = [None] * m.size

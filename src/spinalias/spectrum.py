@@ -87,11 +87,12 @@ def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> 
     if ell < max(abs(m), s) or ell_prime < s:
         raise ValueError(f"invalid indices (ell={ell}, m={m}, ell'={ell_prime}, s={s})")
     kappa2 = (2 * ell + 1) * (2 * ell_prime + 1) / 4.0
-    # the class up to max(ell, ell') holds the source row and one cell (ell', v) per order
-    ((u, v, rows),) = grid._classes(s, [m], max(ell, ell_prime))
-    at = u == ell_prime
-    squares = (rows[at] @ (rows[(u == ell) & (v == m)][0] * grid._weights)) ** 2
-    r0 = v[at] == m
+    two_q = 2 * grid.Q
+    # the source row, then one cell (ell', v) per order v = m (mod 2Q) with |v| <= ell'
+    v = np.arange(m - (ell_prime + m) // two_q * two_q, ell_prime + 1, two_q)
+    rows = grid._d_rows(s, [(m, ell, ell)] + [(w, ell_prime, ell_prime) for w in v.tolist()])
+    squares = (rows[1:] @ (rows[0] * grid._weights)) ** 2
+    r0 = v == m
     xi = float(kappa2 * squares[~r0].sum())
     xi0 = xi + float(kappa2 * squares[r0].sum())
     return XiFactors(ell=ell, m=m, ell_prime=ell_prime, xi=xi, xi0=xi0)

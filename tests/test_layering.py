@@ -135,7 +135,8 @@ def test_only_the_grid_knows_the_table_layout():
 
 
 @pytest.mark.parametrize("build", [build_grid_gauss, build_grid_equiangular])
-@pytest.mark.parametrize("Q,orders", [(1, (49, 30, 15)), (5, (49, 12, 6)), (8, (49, 7, 4))])
+@pytest.mark.parametrize("Q,orders", [(1, (49, 30, 15, 4)), (5, (49, 12, 6, 2)),
+                                      (8, (49, 7, 4, 1))])
 def test_each_matrix_route_call_is_one_kernel_pass(monkeypatch, build, Q, orders):
     # the per-class reads of a call share one kernel pass over all its orders
     passes = []
@@ -150,6 +151,8 @@ def test_each_matrix_route_call_is_one_kernel_pass(monkeypatch, build, Q, orders
         lambda grid: aliased_spectrum(grid, AngularPowerSpectrum.flat(2, 48), range(2, 17), 48),
         lambda grid: enumerate_aliases(HarmonicIndex(7, -3, 2), grid, u_max=60),
         lambda grid: xi_factors(grid, 7, -3, 30, 2),
+        # the source row and the cells at ell' only: orders |v| <= ell', not <= ell
+        lambda grid: xi_factors(grid, 30, 3, 7, 2),
     ]
     for call, count in zip(calls, orders):
         passes.clear()

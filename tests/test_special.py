@@ -335,6 +335,10 @@ class TestWignerDBlocks:
         ([9, 2, -1], 2, 6),     # ell0 = 9 > top: a zero-row block
         ([4, -4, 0], 4, 4),     # top = ell0: one row each
         ([0], 0, 5),            # s = m = 0 starts at ell = 0
+        # two orders join at almost every step, so each step's coefficient slice shifts
+        (list(range(-30, 31)), 0, 34),
+        (list(range(-30, 31)), 3, 34),
+        ([0, 1, 2], 2, 9),      # one shared start degree
     ])
     def test_edge_cases_match_single_order_calls(self, orders, s, top):
         theta = both_schemes_nodes(8, s)
