@@ -234,7 +234,7 @@ def _cmd_simulate(args) -> int:
     if args.flat:
         if args.lmax is None:
             raise ValueError("--lmax required with --flat")
-        spec = AngularPowerSpectrum.flat(args.s, args.lmax)
+        spec = AngularPowerSpectrum.flat(args.s, _degree(args.lmax, "--lmax", args.s, args.lmax))
     else:
         spec = load_spectrum(args.spectrum)
         if spec.s != args.s:

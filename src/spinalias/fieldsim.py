@@ -8,7 +8,6 @@ prediction).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +168,7 @@ def aliased_eb(
     (a~_E, a~_B) = ((a~_m + (-1)^(m+s) conj(a~_{-m}))/2,
                     (a~_m - (-1)^(m+s) conj(a~_{-m}))/2).
     """
+    HarmonicIndex(ell, m, coeffs.s)  # checks the caller's (ell, m), not its mirror
     tilde = analyze(synthesize(coeffs, grid), coeffs.s, ell)
     mirror = (-1) ** (m + coeffs.s) * tilde.get(ell, -m).conjugate()
     a_plus = tilde.get(ell, m)
@@ -250,10 +250,9 @@ def monte_carlo_spectrum(
             samples[i, k] = (np.abs(row) ** 2).sum() / (2 * ell + 1)
     mean = samples.mean(axis=0)
     sterr = samples.std(axis=0, ddof=1) / math.sqrt(n_real)
-    # the drawn ensemble is band-limited at L0, so u_max = L0 is not a truncation
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"u_max=\d+ may truncate", UserWarning)
-        predicted = np.asarray(spectrum.aliased_spectrum(grid, spec, ell_list, u_max=L0))
+    cut = L0 - spec.s + 1  # the prediction reads the band the ensemble is drawn from
+    band = spectrum.AngularPowerSpectrum(spec.s, L0, spec.C_E[:cut], spec.C_B[:cut])
+    predicted = np.asarray(spectrum.aliased_spectrum(grid, band, ell_list, u_max=L0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sterr > 0, (mean - predicted) / sterr, 0.0)
     return MonteCarloReport(

@@ -36,6 +36,8 @@ class AngularPowerSpectrum:
     C_B: np.ndarray
 
     def __post_init__(self):
+        if self.s < 0 or self.L_max < self.s:
+            raise ValueError(f"need 0 <= s <= L_max, got s={self.s}, L_max={self.L_max}")
         n = self.L_max - self.s + 1
         ce = np.asarray(self.C_E, dtype=float)
         cb = np.asarray(self.C_B, dtype=float)
@@ -105,7 +107,8 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     E|a~_{ell,m}|^2 = sum_u xi0(ell, m, u) C_u (the identity cell
     included, so a band-limited alias-free configuration returns the
     input spectrum); C~_ell averages the moments over m.  The degree sum
-    is truncated at ``u_max``.
+    is truncated at ``u_max``; it warns ("may truncate") only when that
+    drops degrees the spectrum holds, u_max < min(L_max, ell + 2(N - s)).
 
     The longitude comb couples order m only to the orders v = m (mod 2Q),
     so the cross sums are evaluated per residue class, from the rows
@@ -122,7 +125,7 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     for ell in ell_list:
         if ell < s:
             raise ValueError(f"invalid indices (ell={ell}, s={s})")
-        if u_max < ell + 2 * (grid.N - grid.s):
+        if u_max < min(spec.L_max, ell + 2 * (grid.N - grid.s)):
             warnings.warn(
                 f"u_max={u_max} may truncate aliases of ell={ell} "
                 f"(nearest wrap-around degrees extend past it)",
@@ -130,16 +133,15 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
             )
     if not ell_list:
         return []
-    degs = np.array(sorted(set(ell_list)))  # np.unique takes milliseconds on its first call
-    top = int(degs[-1])
+    top = max(ell_list)
     hi, two_q = max(top, u_max), 2 * grid.Q
     # the classes that occur among the rows, in order
     classes = list(dict.fromkeys(m % two_q for m in range(-top, top + 1)))
     # kappa^2 / (2 ell + 1) = (2u + 1) / 4 weights each squared cross sum
-    weight = np.array([(2 * u + 1) * spec.total_at(u) for u in range(s, u_max + 1)]) / 4.0
+    weight = (2 * np.arange(s, u_max + 1) + 1) * spec.C_total[: u_max + 1 - s] / 4.0
     listed = np.zeros(hi + 1, dtype=bool)
-    listed[degs] = True
-    per_deg = np.zeros(degs.size)
+    listed[ell_list] = True
+    per_deg = np.zeros(hi + 1)
     # the rows (ell, m = c) are the class's cells at the listed ell, by m then ell
     for u, _, cols in grid._classes(s, classes, hi):
         is_row = listed[u]
@@ -155,9 +157,8 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
             squares = np.maximum(np.einsum("ij,ij->i", rows @ kernel, rows), 0.0)
         else:
             squares = (rows @ cols.T) ** 2 @ col_weight
-        per_deg += np.bincount(np.searchsorted(degs, row_degs), squares,
-                               minlength=degs.size)
-    return per_deg[np.searchsorted(degs, ell_list)].tolist()
+        per_deg += np.bincount(row_degs, squares, minlength=hi + 1)
+    return per_deg[ell_list].tolist()
 
 
 def circular_covariance(spec: AngularPowerSpectrum, theta_psi: float) -> float:

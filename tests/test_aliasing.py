@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +23,7 @@ from spinalias import (
     synthesize,
     tau,
 )
+from spinalias import fieldsim
 from spinalias.sampling import table_weights
 
 from _invariants import (
@@ -348,6 +350,18 @@ class TestAliasedEB:
         a_e, a_b = aliased_eb(coeffs, gj_grid, 2, 0)
         assert abs(a_e) < 1e-14
         assert abs(a_b - 1.0j) < 1e-12
+
+    @pytest.mark.parametrize("ell,m", [(2, -3), (2, 3), (1, 0)])
+    def test_index_checked_before_synthesis(self, gj_grid, monkeypatch, ell, m):
+        # the message names the caller's (ell, m), not the mirror -m or an L_max
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the field was synthesized")
+
+        monkeypatch.setattr(fieldsim, "synthesize", must_not_run)
+        coeffs = SpinCoefficients.zeros(2, 4)
+        with pytest.raises(ValueError, match=re.escape(
+                f"need ell >= max(|m|, s): got (ell={ell}, m={m}, s=2)")):
+            aliased_eb(coeffs, gj_grid, ell, m)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("m", [0, 1, 2])

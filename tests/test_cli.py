@@ -244,17 +244,14 @@ class TestSpectrumAliasCommand:
     def test_matches_library_bitwise(self, tmp_path):
         spec_file = tmp_path / "flat.csv"
         self._write_spectrum(spec_file, 2, [(l, 0.5, 0.5) for l in range(2, 9)])
-        code, out, _ = run_cli("spectrum-alias", "--spectrum", str(spec_file),
-                               "--N", "6", "--s", "2", "--Q", "1")
-        assert code == 0
+        code, out, err = run_cli("spectrum-alias", "--spectrum", str(spec_file),
+                                 "--N", "6", "--s", "2", "--Q", "1")
+        # the default --umax is the spectrum's L_max: no power is dropped, no note
+        assert (code, err) == (0, "")
         header, rows = parse_csv(out)
         grid = build_grid_gauss(6, 2, 1)
         spec = AngularPowerSpectrum.flat(2, 8)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            predicted = aliased_spectrum(grid, spec, range(2, 9), u_max=8)
+        predicted = aliased_spectrum(grid, spec, range(2, 9), u_max=8)
         col = header.index("C_tilde")
         for row, value in zip(rows, predicted):
             assert float(row[col]) == value
@@ -325,6 +322,21 @@ class TestSpectrumAliasCommand:
         assert code == 3
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("suffix,first", [("csv", -1), ("json", -2)])
+    def test_negative_first_degree_exit_3(self, tmp_path, suffix, first):
+        # a band starting below 0 is a malformed file, not a spin mismatch
+        path = tmp_path / f"neg.{suffix}"
+        rows = [(ell, 1.0, 0.0) for ell in range(first, 4)]
+        if suffix == "csv":
+            self._write_spectrum(path, 2, rows)
+        else:
+            path.write_text(json.dumps({key: [r[i] for r in rows]
+                                        for i, key in enumerate(["ell", "C_E", "C_B"])}))
+        code, out, err = run_cli("spectrum-alias", "--spectrum", str(path),
+                                 "--N", "6", "--s", "2", "--Q", "1")
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: need 0 <= s <= L_max, got s={first}, L_max=3\n"
 
     def test_malformed_file_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -426,6 +438,15 @@ class TestSimulateCommand:
                                  "--N", "6", "--s", "2", "--Q", "1", "--nreal", "100")
         assert (code, out) == (2, "")
         assert err == f"error: need --lmax {reason}\n"
+
+    @pytest.mark.parametrize("lmax", ["1", "0"])
+    def test_flat_lmax_below_spin_exit_2(self, monkeypatch, capsys, lmax):
+        # named as the --lmax the caller gave, before the grid is built
+        monkeypatch.setattr(cli, "_build_grid", _must_not_run)
+        code = main(["simulate", "--flat", "--lmax", lmax, "--s", "2", "--nreal", "100"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: need --lmax >= s, got --lmax={lmax} < s=2\n"
 
     @pytest.mark.parametrize("L0,reason", [
         ("1", ">= s, got --L0=1 < s=2"),

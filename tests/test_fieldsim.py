@@ -275,7 +275,7 @@ class TestMonteCarlo:
         assert r1.z_scores == r2.z_scores
 
     def test_prediction_warnings_surface(self, grid, monkeypatch):
-        # only the known u_max note is filtered; any other warning reaches the caller
+        # a warning of the prediction reaches the caller
         predict = spectrum.aliased_spectrum
 
         def noisy(*args, **kwargs):
@@ -292,6 +292,17 @@ class TestMonteCarlo:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             monte_carlo_spectrum(AngularPowerSpectrum.flat(2, 8), grid, 8, range(2, 9), 200, seed=0)
+
+    def test_band_below_spectrum_predicts_the_drawn_band(self, grid):
+        # L0 = 7 < L_max = 10: the prediction sums the drawn band only, and warns nothing
+        rng = np.random.default_rng(9)
+        spec = AngularPowerSpectrum(2, 10, rng.uniform(0.1, 1.0, 9), rng.uniform(0.1, 1.0, 9))
+        ells = [2, 5, 3, 9]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = monte_carlo_spectrum(spec, grid, 7, ells, 100, seed=3)
+        band = AngularPowerSpectrum(2, 7, spec.C_E[:6], spec.C_B[:6])
+        assert report.predicted == spectrum.aliased_spectrum(grid, band, ells, u_max=7)
 
     def test_ell_below_spin_rejected_before_drawing(self, grid, monkeypatch):
         def must_not_run(*args, **kwargs):

@@ -5,7 +5,7 @@ module-level statement, and the Wigner-d table cache and its layout are
 private to the grid, which builds the blocks of one matrix-route call in
 one kernel pass.  The library has one Wigner-d evaluator, and the test
 oracles do not import it.  Every exported name has a caller outside the
-tests, or is a quantity of the paper.
+tests, or is a quantity of the paper.  No module suppresses a warning.
 """
 
 import ast
@@ -158,6 +158,20 @@ def test_each_matrix_route_call_is_one_kernel_pass(monkeypatch, build, Q, orders
         passes.clear()
         call(build(16, 2, Q))
         assert passes == [count]
+
+
+def test_src_suppresses_no_warning():
+    # warnings are surfaced, not suppressed: the CLI records them with "always"
+    filters, actions = ("filterwarnings", "simplefilter"), {}
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) in filters:
+                given = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "action")]
+                # a non-literal action counts as "ignore"
+                actions[f"{name}.py:{node.lineno}"] = getattr(given[0], "value", None)
+    assert "always" in actions.values()
+    assert [where for where, action in actions.items() if action in ("ignore", None)] == []
 
 
 def test_import_loads_no_fft_and_no_scipy():

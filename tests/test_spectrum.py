@@ -60,6 +60,8 @@ class TestAngularPowerSpectrum:
             AngularPowerSpectrum(2, 4, np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             AngularPowerSpectrum(2, 3, np.array([1.0, -0.1]), np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="need 0 <= s <= L_max, got s=-1, L_max=3"):
+            AngularPowerSpectrum.flat(-1, 3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -67,6 +69,12 @@ class TestAngularPowerSpectrum:
             AngularPowerSpectrum(2, 3, np.array([1.0, bad]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="finite"):
             AngularPowerSpectrum(2, 3, np.array([1.0, 0.0]), np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("s,L_max,n", [(-1, 3, 5), (3, 1, 0), (3, 2, 0)])
+    def test_band_rejected(self, s, L_max, n):
+        # a negative spin, or a band ending below s, is named as such
+        with pytest.raises(ValueError, match=f"need 0 <= s <= L_max, got s={s}, L_max={L_max}"):
+            AngularPowerSpectrum(s, L_max, np.zeros(n), np.zeros(n))
 
     def test_out_of_range(self):
         spec = AngularPowerSpectrum.flat(2, 4)
@@ -145,7 +153,8 @@ class TestXiFactors:
 class TestAliasedSpectrum:
     def test_zero_spectrum(self, grid):
         spec = AngularPowerSpectrum(2, 8, np.zeros(7), np.zeros(7))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # u_max = L_max drops no degree of the spectrum
             out = aliased_spectrum(grid, spec, [2, 3, 4], u_max=8)
         assert out == [0.0, 0.0, 0.0]
 
@@ -155,7 +164,8 @@ class TestAliasedSpectrum:
             2, 3, np.array([0.7, 1.3]), np.array([0.3, 0.2])
         )
         for grid in (build_grid_gauss(8, 2, 5), build_grid_equiangular(8, 2, 5)):
-            with pytest.warns(UserWarning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 out = aliased_spectrum(grid, spec, [2, 3], u_max=3)
             assert_allclose(out, spec.C_total, rtol=1e-10, err_msg=grid.scheme.value)
 
@@ -169,10 +179,20 @@ class TestAliasedSpectrum:
         out = aliased_spectrum(grid, spec, ells, u_max=40)
         assert_allclose(out, expected, rtol=1e-12)
 
-    def test_truncation_warning(self, grid):
-        spec = AngularPowerSpectrum.flat(2, 8)
-        with pytest.warns(UserWarning, match="truncate"):
-            aliased_spectrum(grid, spec, [2], u_max=8)
+    def test_truncation_warning(self):
+        # ell + 2(N - s) = 10: u_max = L_max = 8 drops nothing the spectrum holds,
+        # u_max = 8 < L_max = 10 and u_max = 7 < L_max = 8 drop degrees it holds
+        for grid in (build_grid_gauss(6, 2, 1), build_grid_equiangular(6, 2, 1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                aliased_spectrum(grid, AngularPowerSpectrum.flat(2, 8), [2], u_max=8)
+            with pytest.warns(UserWarning) as caught:
+                aliased_spectrum(grid, AngularPowerSpectrum.flat(2, 10), [2], u_max=8)
+            assert [str(w.message) for w in caught] == [
+                "u_max=8 may truncate aliases of ell=2 "
+                "(nearest wrap-around degrees extend past it)"]
+            with pytest.warns(UserWarning, match="u_max=7 may truncate aliases of ell=2"):
+                aliased_spectrum(grid, AngularPowerSpectrum.flat(2, 8), [2], u_max=7)
 
     def test_umax_validation(self, grid):
         spec = AngularPowerSpectrum.flat(2, 4)
@@ -198,9 +218,7 @@ class TestAliasedSpectrum:
         spec = AngularPowerSpectrum(2, u_max, rng.uniform(0.1, 1.0, u_max - 1),
                                     rng.uniform(0.1, 1.0, u_max - 1))
         oracle = CellOracle(grid, 2)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="u_max=.* may truncate")
-            out = aliased_spectrum(grid, spec, ells, u_max=u_max)
+        out = aliased_spectrum(grid, spec, ells, u_max=u_max)
         assert_allclose(out, oracle.spectrum(spec, ells, u_max), rtol=1e-12)
         for ell in sorted(set(ells)):
             for m in range(-ell, ell + 1):
@@ -224,9 +242,7 @@ class TestAliasedSpectrum:
         size = u_max - 1
         spec = AngularPowerSpectrum(2, u_max, rng.uniform(0.1, 1.0, size),
                                     rng.uniform(0.1, 1.0, size))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="u_max=.* may truncate")
-            out = aliased_spectrum(grid, spec, ells, u_max=u_max)
+        out = aliased_spectrum(grid, spec, ells, u_max=u_max)
         assert_allclose(out, CellOracle(grid, 2).spectrum(spec, ells, u_max), rtol=1e-12)
 
     @pytest.mark.parametrize("build", SCHEMES)
@@ -238,10 +254,8 @@ class TestAliasedSpectrum:
         assert set(class_routes(grid, ells, 14)) == {"kernel"}
         rng = np.random.default_rng(seed)
         spec = AngularPowerSpectrum(2, 14, rng.uniform(0.1, 1.0, 13), rng.uniform(0.1, 1.0, 13))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="u_max=.* may truncate")
-            out = aliased_spectrum(grid, spec, ells, u_max=14)
-            one_at_a_time = [aliased_spectrum(grid, spec, [ell], u_max=14)[0] for ell in ells]
+        out = aliased_spectrum(grid, spec, ells, u_max=14)
+        one_at_a_time = [aliased_spectrum(grid, spec, [ell], u_max=14)[0] for ell in ells]
         expected = CellOracle(grid, 2).spectrum(spec, ells, 14)
         assert_allclose(out, expected, rtol=1e-12)
         assert_allclose(one_at_a_time, expected, rtol=1e-12)
@@ -260,9 +274,7 @@ class TestAliasedSpectrum:
             c_e = np.zeros(u_max - 1)
             c_e[np.array(multipoles) - 2] = 1.0
             spec = AngularPowerSpectrum(2, u_max, c_e, np.zeros(u_max - 1))
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", message="u_max=.* may truncate")
-                out = np.array(aliased_spectrum(grid, spec, ells, u_max=u_max))
+            out = np.array(aliased_spectrum(grid, spec, ells, u_max=u_max))
             expected = transfer @ c_e
             assert np.all(out >= 0), multipoles
             assert np.all(np.abs(out - expected) <= 1e-12 * expected + 4e-15 * out.max()), multipoles
@@ -273,15 +285,13 @@ class TestAliasedSpectrum:
         grid = build_grid_gauss(16, 2, 1)
         spec = AngularPowerSpectrum.flat(2, 128)
         ells = list(range(2, 129))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="u_max=.* may truncate")
-            aliased_spectrum(grid, spec, ells, u_max=128)  # build and cache the blocks
-            tracemalloc.start()
-            try:
-                aliased_spectrum(grid, spec, ells, u_max=128)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        aliased_spectrum(grid, spec, ells, u_max=128)  # build and cache the blocks
+        tracemalloc.start()
+        try:
+            aliased_spectrum(grid, spec, ells, u_max=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 16 * 2**20
 
 
