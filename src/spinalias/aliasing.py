@@ -78,14 +78,15 @@ def i_n(grid: SamplingGrid, ell: int, m: int, u: int, v: int, s: int) -> float:
     """Colatitude cross sum sum_p w_p d^ell_{m,-s}(theta_p) d^u_{v,-s}(theta_p).
 
     ``w_p`` are the grid's measure weights, so the sum approximates the
-    integral of the product against sin(theta) d(theta).
+    integral of the product against sin(theta) d(theta); the weights take
+    the signs of the grid's unsigned rows from ``_signs``.
     """
     if ell < max(abs(m), s):
         raise ValueError(f"need ell >= max(|m|, s): got ({ell}, {m}, {s})")
     if u < max(abs(v), s):
         raise ValueError(f"need u >= max(|v|, s): got ({u}, {v}, {s})")
     row, col = grid._d_rows(s, [(m, ell, ell), (v, u, u)])
-    return float(row * grid._weights @ col)
+    return float(row * (grid._weights * grid._signs(s, [ell, u], [m, v]).prod()) @ col)
 
 
 def _kappa(z1, z2):
@@ -117,7 +118,7 @@ def enumerate_aliases(
     cells evaluate to round-off and are dropped).  Cells with degree
     offset j beyond N-s-1 are primary (immune to longitude refinement),
     the rest secondary.  Entries come back sorted by frequency-domain
-    distance.
+    distance; each product of unsigned rows takes its signs from ``_signs``.
     """
     if u_max is None:
         u_max = source.ell + 4 * (grid.N - grid.s)
@@ -127,7 +128,8 @@ def enumerate_aliases(
     ((u, v, cols),) = grid._classes(s, [m], u_max)
     r = (v - m) // (2 * grid.Q)  # r = 0 gives the source order itself
     is_source = (u == ell) & (r == 0)
-    taus = _kappa(ell, u) * (cols @ (cols[is_source][0] * grid._weights))
+    signs = grid._signs(s, u, v) * grid._signs(s, ell, m)
+    taus = _kappa(ell, u) * (cols @ (cols[is_source][0] * grid._weights) * signs)
     keep = (np.abs(taus) > INTENSITY_FLOOR) & ~is_source
     u, v, r, taus = u[keep], v[keep], r[keep], taus[keep]
     j = u - ell

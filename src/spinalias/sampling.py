@@ -50,9 +50,9 @@ class SamplingGrid:
     ell = max(m, s) .. top, per (m, s), built for the orders and the top
     degree a call asks for and freed with the grid.  The grid computes
     both legs of the transforms over its nodes, ``_synthesis`` and
-    ``_analysis``; the alias analysis reads rows of signed orders through
-    ``_d_rows`` and whole residue classes v = c (mod 2Q) through
-    ``_classes``.  Grids are safe to share across threads: two threads may
+    ``_analysis``; the alias analysis reads unsigned rows through ``_d_rows``,
+    whole residue classes v = c (mod 2Q) through ``_classes`` and their signs
+    through ``_signs``.  Grids are safe to share across threads: two threads may
     both build a missing block, and a longer block may replace a shorter
     one, but readers always see a complete, read-only array.
     """
@@ -116,29 +116,27 @@ class SamplingGrid:
         return out
 
     def _d_rows(self, s: int, cells) -> np.ndarray:
-        """Rows d^u_{v,-s} over ``_nodes``, u = lo .. hi, for each (v, lo, hi) in ``cells``.
+        """Unsigned rows over ``_nodes``, u = lo .. hi, for each (v, lo, hi) in ``cells``.
 
         Orders v may have either sign: order -v is the reversed block of
-        order v with row signs (-1)^(u+s).  The rows are stacked in the
+        order v, without the row signs ``_signs``.  The rows are stacked in the
         order of ``cells`` (a list); missing orders are built in one kernel
         pass up to the largest hi.
         """
         blocks = self._d_blocks(s, [v for v, _, _ in cells], max(hi for *_, hi in cells))
-        rows = np.concatenate([blocks[abs(v)][lo - max(abs(v), s) : hi + 1 - max(abs(v), s),
+        return np.concatenate([blocks[abs(v)][lo - max(abs(v), s) : hi + 1 - max(abs(v), s),
                                               :: -1 if v < 0 else 1] for v, lo, hi in cells])
-        at = 0
-        for v, lo, hi in cells:
-            if v < 0:  # the rows of odd u + s change sign
-                odd = rows[at + (lo + s + 1) % 2 : at + hi + 1 - lo : 2]
-                np.negative(odd, out=odd)
-            at += hi + 1 - lo
-        return rows
+
+    @staticmethod
+    def _signs(s: int, u, v) -> np.ndarray:
+        """The factors that turn the unsigned rows (u, v) of ``_d_rows`` into d^u_{v,-s}."""
+        return np.where(np.asarray(v) < 0, _parity(u, s), 1.0)
 
     def _classes(self, s: int, classes, top: int):
         """Yield (u, v, rows) per residue class c mod 2Q in ``classes``, in order.
 
         The cells are v = c (mod 2Q), max(|v|, s) <= u <= top, by v then u;
-        ``rows`` are their rows d^u_{v,-s} from ``_d_rows``.  Each class must
+        ``rows`` are their unsigned rows from ``_d_rows``.  Each class must
         hold an order |v| <= top; every class's orders are built in one kernel
         pass before the first class is read.
         """

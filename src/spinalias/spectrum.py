@@ -55,8 +55,7 @@ class AngularPowerSpectrum:
     @classmethod
     def flat(cls, s: int, L_max: int) -> "AngularPowerSpectrum":
         """Toy spectrum with unit total power per multipole."""
-        n = L_max - s + 1
-        half = np.full(n, 0.5)
+        half = np.full(max(L_max - s + 1, 0), 0.5)
         return cls(s=s, L_max=L_max, C_E=half, C_B=half.copy())
 
     @property
@@ -85,7 +84,7 @@ class XiFactors:
 
 
 def xi_factors(grid: SamplingGrid, ell: int, m: int, ell_prime: int, s: int) -> XiFactors:
-    """Transfer factors kappa^2 * sum_r I^2(ell, m; ell', m + 2rQ)."""
+    """Transfer factors kappa^2 * sum_r I^2(ell, m; ell', m + 2rQ); the square drops row signs."""
     if ell < max(abs(m), s) or ell_prime < s:
         raise ValueError(f"invalid indices (ell={ell}, m={m}, ell'={ell_prime}, s={s})")
     kappa2 = (2 * ell + 1) * (2 * ell_prime + 1) / 4.0
@@ -111,10 +110,10 @@ def aliased_spectrum(grid: SamplingGrid, spec: AngularPowerSpectrum, ell_list, u
     drops degrees the spectrum holds, u_max < min(L_max, ell + 2(N - s)).
 
     The longitude comb couples order m only to the orders v = m (mod 2Q),
-    so the cross sums are evaluated per residue class, from the rows
-    (ell, m) and the columns (u, v) of the class: as one rows x columns
-    product, or through the class's nodes x nodes kernel when that costs
-    fewer flops.
+    so the cross sums are evaluated per residue class, from the unsigned
+    rows (ell, m) and columns (u, v) of the class, whose squares drop the
+    sign: as one rows x columns product, or through the class's
+    nodes x nodes kernel when that costs fewer flops.
     """
     if u_max > spec.L_max:
         raise ValueError(f"need u_max <= spectrum L_max, got {u_max} > {spec.L_max}")

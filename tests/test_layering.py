@@ -109,7 +109,7 @@ def test_only_the_grid_touches_its_tables():
 
 def test_only_the_grid_knows_the_table_layout():
     # the field route calls the grid's transforms and the alias analysis reads
-    # signed rows and residue classes through SamplingGrid._d_rows and _classes
+    # unsigned rows and residue classes through SamplingGrid._d_rows and _classes
     trees = _trees()
     outside = {name: tree for name, tree in trees.items() if name != "sampling"}
     stored = {"_nodes", "_near", "_d_tables", "_parity", "_d_blocks"}
@@ -122,11 +122,17 @@ def test_only_the_grid_knows_the_table_layout():
                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and getattr(node.value, "id", None) == "grid"}
     assert transforms == {"_synthesis", "_analysis"}
-    gone = ("_order_rows", "_signs", "_weighted_row", "_order_scales", "_parity",
+    gone = ("_order_rows", "_weighted_row", "_order_scales", "_parity",
             "_class_orders", "_class_columns")
     layout = [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef) and node.name in gone]
     assert layout == [("sampling", "_parity")]
+    # the mirror sign goes only on the sums that keep it: the squares drop it
+    signers = sorted({f"{name}.{getattr(stmt, 'name', stmt.lineno)}"
+                      for name, tree in outside.items() for stmt in tree.body
+                      for node in ast.walk(stmt)
+                      if getattr(node, "attr", getattr(node, "id", None)) == "_signs"})
+    assert signers == ["aliasing.enumerate_aliases", "aliasing.i_n"]
     private = [f"{name}.py:{node.lineno}" for name, tree in trees.items()
                for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "aliasing"

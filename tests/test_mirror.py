@@ -38,14 +38,16 @@ def _custom_grid(theta, weights, Q: int) -> SamplingGrid:
                         np.asarray(theta), np.asarray(weights))
 
 
+KINDS = ("gauss", "equiangular", "fixed", "random")
+
+
 @st.composite
-def grids(draw, s: int, Q: int = 1, symmetric_only: bool = False):
-    """A fresh grid: Gauss, equiangular, or (unless ``symmetric_only``) asymmetric.
+def grids(draw, s: int, Q: int = 1, kinds=KINDS):
+    """A fresh grid of one of ``kinds``: Gauss, equiangular or asymmetric.
 
     The asymmetric ones are the fixed nodes (0.5, 1.0) and a random set,
     which may repeat a colatitude.
     """
-    kinds = ["gauss", "equiangular"] + ([] if symmetric_only else ["fixed", "random"])
     kind = draw(st.sampled_from(kinds))
     if kind == "gauss":
         return build_grid_gauss(s + draw(st.integers(1, 41)), s, Q)
@@ -84,20 +86,25 @@ def test_node_set_is_mirror_closed(s, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_negative_orders_served_from_the_positive_block(data):
-    # the rows of orders +-m, degrees lo .. L, against the kernel on the grid's nodes
+    # the rows of orders +-m, degrees lo .. L, against the kernel on the grid's nodes:
+    # order -m is the order-m block reversed over _nodes, and _signs makes it d^u_{-m,-s}
     s = data.draw(st.integers(0, 3), label="s")
     L = data.draw(st.integers(s, 40), label="L")
     m = data.draw(st.integers(0, L), label="m")
     lo = data.draw(st.integers(max(m, s), L), label="lo")
-    grid = data.draw(grids(s), label="grid")
-    rows = grid._d_rows(s, [(-m, lo, L), (m, lo, L)])
-    assert list(grid._d_tables) == [(m, s)]
-    (direct_pos,) = _wigner_d_blocks([m], s, L, grid.theta_nodes)
-    (direct_neg,) = _wigner_d_blocks([-m], s, L, grid.theta_nodes)
-    served_neg, served_pos = np.split(rows[:, grid._near], 2)
     first = lo - max(m, s)
-    assert np.abs(served_pos - direct_pos[first:]).max(initial=0.0) <= 1e-12
-    assert np.abs(served_neg - direct_neg[first:]).max(initial=0.0) <= 1e-12
+    for kind in KINDS:
+        grid = data.draw(grids(s, kinds=[kind]), label=kind)
+        rows = grid._d_rows(s, [(-m, lo, L), (m, lo, L)])
+        assert list(grid._d_tables) == [(m, s)]
+        unsigned_neg, pos = np.split(rows, 2)
+        assert np.array_equal(unsigned_neg, pos[:, ::-1] if m else pos)
+        (direct_pos,) = _wigner_d_blocks([m], s, L, grid.theta_nodes)
+        (direct_neg,) = _wigner_d_blocks([-m], s, L, grid.theta_nodes)
+        signs = grid._signs(s, np.arange(lo, L + 1), -m)[:, None]
+        served_neg = unsigned_neg[:, grid._near] * signs
+        assert np.abs(pos[:, grid._near] - direct_pos[first:]).max(initial=0.0) <= 1e-12
+        assert np.abs(served_neg - direct_neg[first:]).max(initial=0.0) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,6 +173,6 @@ def test_cross_sums_of_negative_orders(cell, data):
 def test_cross_sum_mirror_identity(cell, data):
     # I(ell, -m; u, -v) = (-1)^(ell+u) I(ell, m; u, v) on mirror-symmetric grids
     s, ell, m, u, v = cell
-    grid = data.draw(grids(s, symmetric_only=True), label="grid")
+    grid = data.draw(grids(s, kinds=KINDS[:2]), label="grid")
     sign = -1.0 if (ell + u) % 2 else 1.0
     assert abs(i_n(grid, ell, -m, u, -v, s) - sign * i_n(grid, ell, m, u, v, s)) <= 1e-12

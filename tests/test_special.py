@@ -56,6 +56,31 @@ def wigner_d_factorial_sum(l, m1, m2, beta):
     return total
 
 
+class BlockWignerD:
+    """``wigner_d`` read from whole kernel blocks, for sweeps over many elements.
+
+    Runs ``_wigner_d_blocks`` once per (s, theta set) over every order up
+    to ``top`` and reads row ell, after ``wigner_d``'s own mapping of a
+    negative s.  A row depends neither on the other orders nor on the top
+    degree, so the values are ``wigner_d``'s to the bit.
+    """
+
+    def __init__(self, top: int):
+        self.top, self.blocks = top, {}
+
+    def __call__(self, ell, m, s, theta):
+        sign = 1.0
+        if s < 0:
+            sign, m, s = (-1.0) ** (m + s), -m, -s
+        theta = np.asarray(theta, dtype=float)
+        key = (s, theta.tobytes())
+        if key not in self.blocks:
+            self.blocks[key] = _wigner_d_blocks(range(-self.top, self.top + 1), s, self.top,
+                                                theta)
+        val = sign * self.blocks[key][m + self.top][ell - max(abs(m), s)].reshape(theta.shape)
+        return val if val.ndim else float(val)
+
+
 def mp_wigner_d(l, m1, m2, beta):
     """Independent oracle for large degrees: d^l_{m1,m2} from its Jacobi
     form, evaluated at 50 digits with mpmath (float result)."""
@@ -199,16 +224,30 @@ class TestWignerD:
 
     @pytest.mark.parametrize("ell", [7, 12, 40])
     def test_against_jacobi_form(self, ell):
-        # every order and spin of the degree, poles and equator included
+        # every order and spin of the degree, poles and equator included; the
+        # largest degree reads whole blocks, the others call wigner_d itself
         theta = np.array([0.0, 0.37, 1.2, math.pi / 2, 2.6, math.pi])
+        evaluate = BlockWignerD(ell) if ell == 40 else wigner_d
         worst = max(
-            float(np.abs(wigner_d(ell, m, s, theta) - wigner_d_jacobi(ell, m, s, theta)).max())
+            float(np.abs(evaluate(ell, m, s, theta) - wigner_d_jacobi(ell, m, s, theta)).max())
             for s in range(-ell, ell + 1) for m in range(-ell, ell + 1)
         )
         assert worst < 1e-12
 
     def test_parity_sweep(self):
-        assert wigner_parity_deviation(wigner_d, l_max=20) < 1e-12
+        assert wigner_parity_deviation(BlockWignerD(20), l_max=20) < 1e-12
+
+    @pytest.mark.parametrize("top", [20, 40])
+    def test_block_reader_is_wigner_d(self, top):
+        # the sweeps' block reader returns wigner_d's bits, negative spins included
+        rng = np.random.default_rng(top)
+        theta = np.array([0.0, 0.2, 0.37, 1.2, math.pi / 2, 2.5, 2.6, math.pi])
+        evaluate = BlockWignerD(top)
+        for _ in range(200):
+            ell = int(rng.integers(0, top + 1))
+            m, s = (int(x) for x in rng.integers(-ell, ell + 1, 2))
+            for t in (theta, math.pi - theta, float(theta[2])):
+                assert np.array_equal(evaluate(ell, m, s, t), wigner_d(ell, m, s, t))
 
     def test_mp_oracle_matches_factorial_sum(self):
         for ell in range(5):

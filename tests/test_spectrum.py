@@ -72,9 +72,11 @@ class TestAngularPowerSpectrum:
 
     @pytest.mark.parametrize("s,L_max,n", [(-1, 3, 5), (3, 1, 0), (3, 2, 0)])
     def test_band_rejected(self, s, L_max, n):
-        # a negative spin, or a band ending below s, is named as such
+        # a negative spin, or a band ending below s, is named as such, also by flat
         with pytest.raises(ValueError, match=f"need 0 <= s <= L_max, got s={s}, L_max={L_max}"):
             AngularPowerSpectrum(s, L_max, np.zeros(n), np.zeros(n))
+        with pytest.raises(ValueError, match=f"need 0 <= s <= L_max, got s={s}, L_max={L_max}"):
+            AngularPowerSpectrum.flat(s, L_max)
 
     def test_out_of_range(self):
         spec = AngularPowerSpectrum.flat(2, 4)
