@@ -44,9 +44,8 @@ class AliasClass(str, Enum):
 
 @dataclass(frozen=True)
 class AliasEntry:
-    """One alias of one coefficient: location, class, strength, distance."""
+    """One alias of its map's source: location, class, strength, distance."""
 
-    source: HarmonicIndex
     alias: HarmonicIndex
     j: int
     r: int
@@ -59,7 +58,6 @@ class AliasEntry:
 @dataclass(frozen=True)
 class AliasMap:
     source: HarmonicIndex
-    grid: SamplingGrid
     u_max: int
     entries: tuple
 
@@ -119,6 +117,7 @@ def enumerate_aliases(
     offset j beyond N-s-1 are primary (immune to longitude refinement),
     the rest secondary.  Entries come back sorted by frequency-domain
     distance; each product of unsigned rows takes its signs from ``_signs``.
+    The map holds ``source`` once, and no reference to ``grid``.
     """
     if u_max is None:
         u_max = source.ell + 4 * (grid.N - grid.s)
@@ -138,7 +137,7 @@ def enumerate_aliases(
     u, v, j, r, taus, distance = (x[order].tolist() for x in (u, v, j, r, taus, distance))
     last_secondary = grid.N - grid.s - 1
     klass = [AliasClass.PRIMARY if jj > last_secondary else AliasClass.SECONDARY for jj in j]
-    entries = tuple(map(AliasEntry, repeat(source), map(HarmonicIndex, u, v, repeat(s)), j, r,
+    entries = tuple(map(AliasEntry, map(HarmonicIndex, u, v, repeat(s)), j, r,
                         klass, taus, map(abs, taus), distance))
-    return AliasMap(source=source, grid=grid, u_max=u_max, entries=entries)
+    return AliasMap(source=source, u_max=u_max, entries=entries)
 

@@ -159,7 +159,7 @@ def _cmd_alias_map(args) -> int:
     source = HarmonicIndex(args.l, args.m, args.s)
     amap = enumerate_aliases(source, grid, u_max=args.umax)
     rows = [
-        (e.source.ell, e.source.m, e.source.s, e.j, e.r,
+        (source.ell, source.m, source.s, e.j, e.r,
          e.alias.ell, e.alias.m, e.klass.value, e.tau, e.intensity, e.distance)
         for e in amap.entries
     ]
@@ -336,6 +336,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"need --seed >= 0, got --seed={args.seed}")
         if args.out:
             _check_out(args.out)
         return args.func(args)

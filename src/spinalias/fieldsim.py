@@ -119,15 +119,12 @@ def sample_gaussian_coeffs(spec, L0: int, seed) -> SpinCoefficients:
     rng = np.random.default_rng(seed)
     out = SpinCoefficients.zeros(s, L0)
     ells = np.arange(s, L0 + 1)
-    sizes = 2 * ells + 1
-    starts = np.cumsum(sizes) - sizes
-    # one draw, read per ell as E re, E im, B re, B im, each 2*ell+1 long
-    z = rng.standard_normal(4 * int(sizes.sum()))
-    ell = np.repeat(ells, sizes)
-    slot = np.arange(ell.size) - np.repeat(starts, sizes)
-    at = np.repeat(4 * starts, sizes) + slot
-    size = np.repeat(sizes, sizes)
-    e_re, e_im, b_re, b_im = (z[at + k * size] for k in range(4))
+    # one draw, read per ell from 4(ell^2 - s^2) as E re, E im, B re, B im, each 2*ell+1 long
+    z = rng.standard_normal(4 * ((L0 + 1) ** 2 - s * s))
+    ell = np.repeat(ells, 2 * ells + 1)
+    slot = np.arange(ell.size) - (ell * ell - s * s)
+    at = 4 * (ell * ell - s * s) + slot
+    e_re, e_im, b_re, b_im = (z[at + k * (2 * ell + 1)] for k in range(4))
     scale_e = np.sqrt(spec.C_E[ell - s] / 2.0)
     scale_b = np.sqrt(spec.C_B[ell - s] / 2.0)
     ge = scale_e * (e_re + 1j * e_im)

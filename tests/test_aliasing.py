@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import re
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -223,16 +225,27 @@ class TestEnumerate:
         last_secondary = grid.N - grid.s - 1
         for ell, m in [(12, -12), (7, -3), (2, 0), (9, 5)]:
             source = HarmonicIndex(ell, m, 2)
-            entries = enumerate_aliases(source, grid, u_max=200).entries
-            keys = [(e.distance, e.j, e.r) for e in entries]
+            amap = enumerate_aliases(source, grid, u_max=200)
+            assert amap.source == source
+            keys = [(e.distance, e.j, e.r) for e in amap.entries]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
-            for e in entries:
+            for e in amap.entries:
                 assert e.distance == math.hypot(e.j, e.alias.m - m)
                 assert e.klass is (AliasClass.PRIMARY if e.j > last_secondary
                                    else AliasClass.SECONDARY)
-                assert (e.source, e.j, e.intensity) == (source, e.alias.ell - ell, abs(e.tau))
+                assert (e.j, e.intensity) == (e.alias.ell - ell, abs(e.tau))
                 # tau() and the walk agree to rounding in the last digit
                 assert abs(tau(grid, source, e.alias.ell, e.alias.m) - e.tau) <= 1e-15
+
+    def test_kept_map_frees_its_grid(self):
+        # the map holds its source and entries only, so the grid and its
+        # Wigner-d tables go when the grid does
+        grid = build_grid_gauss(16, 2, 4)
+        amap = enumerate_aliases(HarmonicIndex(7, 3, 2), grid, u_max=60)
+        ref = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert ref() is None and amap.entries
 
     @pytest.mark.parametrize("build", [build_grid_gauss, build_grid_equiangular])
     def test_benchmark_grid_matches_cell_oracle(self, build):

@@ -515,6 +515,19 @@ class TestSeedOption:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --seed 0" in err
 
+    @pytest.mark.parametrize("argv,work,seed", [
+        (["simulate", "--flat", "--lmax", "8", "--seed", "-1"], "_build_grid", "-1"),
+        (["verify-bandlimit", "--L0", "2", "--N", "4", "--Q", "3", "--seed", "-5"],
+         "verify_bandlimit", "-5"),
+    ], ids=["simulate", "verify-bandlimit"])
+    def test_negative_seed_exit_2(self, monkeypatch, capsys, argv, work, seed):
+        # named as the flag the caller gave, before any work
+        monkeypatch.setattr(cli, work, _must_not_run)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: need --seed >= 0, got --seed={seed}\n"
+
     def test_json_metadata_without_seed(self):
         code, out, _ = run_cli("grid", "--format", "json")
         assert code == 0

@@ -247,6 +247,27 @@ class TestDraw:
                 drawn = sample_gaussian_coeffs(spec, L0, seed).values
                 assert drawn.tobytes() == gaussian_coeffs_loop(spec, L0, seed).tobytes()
 
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_draw_layout(self, s):
+        # one draw, read degree by degree at a running offset as E re, E im,
+        # B re, B im, so any change of which draw lands on which (ell, m, E/B) fails
+        spec = AngularPowerSpectrum(s, 12, np.linspace(0.5, 2.0, 13 - s),
+                                    np.linspace(1.5, 0.1, 13 - s))
+        for L0 in (s, s + 1, 12):
+            for seed in (0, 99):
+                sizes = [2 * ell + 1 for ell in range(s, L0 + 1)]
+                z = np.random.default_rng(seed).standard_normal(4 * sum(sizes))
+                want = np.zeros((L0 + 1, 2 * L0 + 1), dtype=complex)
+                at = 0
+                for ell, n in zip(range(s, L0 + 1), sizes):
+                    e_re, e_im, b_re, b_im = z[at : at + 4 * n].reshape(4, n)
+                    at += 4 * n
+                    ge = np.sqrt(spec.C_E[ell - s] / 2.0) * (e_re + 1j * e_im)
+                    gb = np.sqrt(spec.C_B[ell - s] / 2.0) * (b_re + 1j * b_im)
+                    want[ell, L0 - ell : L0 + ell + 1] = ge + 1j * gb
+                drawn = sample_gaussian_coeffs(spec, L0, seed).values
+                assert drawn.tobytes() == want.tobytes()
+
 
 class TestMonteCarlo:
     def test_zero_spectrum(self, grid):
